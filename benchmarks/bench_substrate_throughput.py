@@ -14,7 +14,11 @@ import numpy as np
 from repro.analysis.runner import cache_disabled
 from repro.config import FHD, skylake_tablet
 from repro.core import BurstLinkScheme
-from repro.pipeline import ConventionalScheme, FrameWindowSimulator
+from repro.pipeline import (
+    ConventionalScheme,
+    FrameWindowSimulator,
+    StreamingSimulator,
+)
 from repro.video import Codec, CodecConfig
 from repro.video.frames import FrameType
 from repro.video.source import AnalyticContentModel
@@ -80,33 +84,35 @@ def test_simulator_throughput_burstlink(benchmark):
     print(f"\n{result.stats.windows} windows simulated")
 
 
-def test_simulator_scalar_engine(benchmark):
-    """The scalar window loop, pinned — the batch engine's baseline."""
+def test_simulator_streaming_walker(benchmark):
+    """The window-by-window walker (:class:`StreamingSimulator`, frames
+    pushed) — the batch engine's baseline."""
     config = skylake_tablet(FHD).with_drfb()
     frames = AnalyticContentModel().frames(FHD, _SIM_FRAMES)
 
     def run():
-        with cache_disabled():
-            return FrameWindowSimulator(config, BurstLinkScheme()).run(
-                frames, 60.0, retain="summary", engine="scalar"
-            )
+        walker = StreamingSimulator(config, BurstLinkScheme(), 60.0)
+        for frame in frames:
+            walker.push(frame)
+        walker.end()
+        return walker.result()
 
     result = benchmark(run)
     rate = result.stats.windows / benchmark.stats["mean"]
     print(f"\n{result.stats.windows} windows simulated "
-          f"({rate:,.0f} windows/s, scalar engine)")
+          f"({rate:,.0f} windows/s, streaming walker)")
 
 
 def test_simulator_batch_engine(benchmark):
-    """The vectorized batch engine on the same run as the scalar bench
-    above — the before/after pair behind the README table."""
+    """The vectorized batch engine on the same run as the streaming
+    bench above — the before/after pair behind the README table."""
     config = skylake_tablet(FHD).with_drfb()
     frames = AnalyticContentModel().frames(FHD, _SIM_FRAMES)
 
     def run():
         with cache_disabled():
             return FrameWindowSimulator(config, BurstLinkScheme()).run(
-                frames, 60.0, retain="summary", engine="batch"
+                frames, 60.0, retain="summary"
             )
 
     result = benchmark(run)
@@ -136,3 +142,30 @@ def test_simulator_batch_engine_standby(benchmark):
     rate = result.stats.windows / benchmark.stats["mean"]
     print(f"\n{result.stats.windows} windows simulated "
           f"({rate:,.0f} windows/s, ambient standby)")
+
+
+def test_simulator_streaming_walker_standby(benchmark):
+    """The streaming walker on the same ambient standby run — the
+    reference column of the README table's standby row."""
+    from repro.core.burstlink import BurstLinkScheme as _BL
+    from repro.workloads.standby import AmbientStandbyWorkload
+
+    workload = AmbientStandbyWorkload(
+        duration_s=15.0 if os.environ.get("REPRO_BENCH_QUICK") else 60.0
+    )
+    config = workload.system_config()
+
+    def run():
+        walker = StreamingSimulator(
+            config, _BL(), workload.update_fps,
+            max_windows=workload.window_count,
+        )
+        for frame in workload.source():
+            walker.push(frame)
+        walker.end()
+        return walker.result()
+
+    result = benchmark(run)
+    rate = result.stats.windows / benchmark.stats["mean"]
+    print(f"\n{result.stats.windows} windows simulated "
+          f"({rate:,.0f} windows/s, streaming walker, ambient standby)")

@@ -15,6 +15,7 @@ window.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -62,10 +63,17 @@ class RefreshTiming:
     video_fps: float
 
     def __post_init__(self) -> None:
-        if self.refresh_hz <= 0:
-            raise ConfigurationError("refresh rate must be positive")
-        if self.video_fps <= 0:
-            raise ConfigurationError("video frame rate must be positive")
+        # The chained comparisons are false for NaN as well.
+        if not 0 < self.refresh_hz < math.inf:
+            raise ConfigurationError(
+                f"refresh rate must be positive and finite, got "
+                f"{self.refresh_hz!r}"
+            )
+        if not 0 < self.video_fps < math.inf:
+            raise ConfigurationError(
+                f"video frame rate must be positive and finite, got "
+                f"{self.video_fps!r}"
+            )
         if self.video_fps > self.refresh_hz + 1e-9:
             raise ConfigurationError(
                 f"video at {self.video_fps} FPS exceeds the "

@@ -487,7 +487,7 @@ class ExhibitProfile:
     #: Window-engine and plan-cache counters (``sim.collapse.*``,
     #: ``sim.batch.*``, ``sim.plan_cache.*``, ``cache.plan_*``) at
     #: capture time; empty when none fired (e.g. always-traced runs
-    #: fall back to the scalar engine).
+    #: take the streaming walker, which never collapses while traced).
     engine_counters: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:

@@ -42,6 +42,8 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -377,6 +379,20 @@ def _stats_payload(stats: Any) -> dict[str, Any]:
     return dataclasses.asdict(stats)
 
 
+def _finite(payload: dict[str, Any], key: str, default: float) -> float:
+    """``payload[key]`` (or ``default``) as a finite float."""
+    value = payload.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigurationError(
+            f"{key} must be a finite number, got {value!r}"
+        )
+    return number
+
+
 class PowerAdvisorService:
     """Session bookkeeping and op dispatch for the serve plane.
 
@@ -422,6 +438,19 @@ class PowerAdvisorService:
             return handler(payload)
         except ReproError as error:
             return {"ok": False, "error": str(error)}
+        except Exception as error:
+            # A malformed op must never take the server down: report it
+            # to the client and log it with its traceback.
+            message = f"{type(error).__name__}: {error}"
+            self.events.emit(
+                "session.error",
+                level="error",
+                op=str(op),
+                session=str(payload.get("session", "")),
+                error=message,
+                traceback=traceback.format_exc(),
+            )
+            return {"ok": False, "error": message}
 
     # -- individual ops -----------------------------------------------------
 
@@ -445,26 +474,23 @@ class PowerAdvisorService:
                 f"unknown resolution {resolution_label!r} "
                 f"(choose from {sorted(_RESOLUTIONS)})"
             )
-        fps = float(payload.get("fps", 30.0))
+        fps = _finite(payload, "fps", 30.0)
         if fps <= 0:
             raise ConfigurationError("fps must be > 0")
-        sid = str(payload.get("session", "")) or self._mint_sid()
-        if sid in self.sessions:
-            raise ConfigurationError(f"session {sid!r} already open")
+        window_s = _finite(payload, "window_s", self.window_s)
+        if window_s <= 0:
+            raise ConfigurationError("window_s must be > 0")
         factory, needs_drfb = _SCHEMES[scheme_label]
         config = _config_for(
             _RESOLUTIONS[resolution_label], needs_drfb
         )
-        max_windows = payload.get("max_windows")
+        # The simulator rejects a max_windows that is not an int >= 0.
         sim = StreamingSimulator(
-            config,
-            factory(),
-            fps,
-            max_windows=(
-                int(max_windows) if max_windows is not None else None
-            ),
+            config, factory(), fps, max_windows=payload.get("max_windows")
         )
-        window_s = float(payload.get("window_s", self.window_s))
+        sid = str(payload.get("session", "")) or self._mint_sid()
+        if sid in self.sessions:
+            raise ConfigurationError(f"session {sid!r} already open")
         session = Session(
             sid=sid,
             scheme_label=scheme_label,

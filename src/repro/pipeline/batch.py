@@ -1,11 +1,12 @@
 """Vectorized plan-group machinery for the batch window engine.
 
-PR 5's repeat-window collapsing showed that nearly every window in a
-long run replays an earlier plan with a time shift.  The batch engine
-(:meth:`repro.pipeline.sim.FrameWindowSimulator.run` with the default
-``engine="auto"``) takes the next step: it groups windows by
-``(scheme plan_key, window kind, frame, entry state)`` and prices each
-distinct plan **once**, replaying it per group member as a count.
+Repeat-window collapsing showed that nearly every window in a long run
+replays an earlier plan with a time shift.  The batch engine (what
+:meth:`repro.pipeline.sim.FrameWindowSimulator.run` takes for every
+untraced run of a scheme with ``plan_key()``) goes further: it groups
+windows by ``(scheme plan_key, window kind, frame, entry state)`` and
+prices each distinct plan **once**, replaying it per group member as a
+count.
 
 This module holds the pieces that are independent of the simulator
 loop:

@@ -6,23 +6,29 @@ projection work, it produces that window's package C-state timeline with
 full datapath annotations.  The simulator walks the refresh cadence,
 validates every window, and stitches the results into a run-level
 timeline plus statistics — the input to the analytical power model.
+
+Two walkers cover the cadence: the batch window engine
+(:meth:`FrameWindowSimulator._run_batch`, untraced runs of schemes with
+``plan_key()``) and the window-by-window :class:`StreamingSimulator`
+(everything else, including ``repro serve`` sessions).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..display.timing import RefreshTiming, WindowKind, WindowPlan
-from ..errors import DeadlineMissError, SimulationError
+from ..errors import ConfigurationError, DeadlineMissError, SimulationError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..soc.cstates import PackageCState
@@ -34,16 +40,8 @@ from .timeline import PanelMode, Timeline, TimelineSummary
 #: summary (O(1) memory for hours-long traces).
 RETAIN_MODES = ("full", "summary")
 
-#: How the simulator walks the cadence: ``"auto"`` picks the batch
-#: window engine whenever collapsing would be legal (untraced, scheme
-#: exposes ``plan_key()``, collapse not disabled) and falls back to the
-#: scalar loop otherwise; ``"batch"`` requests the engine explicitly
-#: (same safety fallbacks apply); ``"scalar"`` forces the historical
-#: window-by-window loop.
-ENGINE_MODES = ("auto", "batch", "scalar")
-
 #: Segment count at which the batch engine digests a fresh plan through
-#: :class:`~repro.pipeline.batch.PlanMatrix` instead of the scalar
+#: :class:`~repro.pipeline.batch.PlanMatrix` instead of the per-segment
 #: :meth:`TimelineSummary.window_digest` loop.  Both are bit-identical;
 #: below this, numpy array construction costs more than it saves.
 _MATRIX_MIN_SEGMENTS = 32
@@ -59,12 +57,64 @@ def _plan_digest(
 ) -> TimelineSummary:
     """One-window digest of a fresh plan, via the cheaper of the two
     bit-identical paths (np.bincount accumulates weights sequentially in
-    row order, exactly the scalar loop)."""
+    row order, exactly the per-segment loop)."""
     if len(timeline.segments) >= _MATRIX_MIN_SEGMENTS:
         return PlanMatrix.from_timeline(timeline, kind).digest(
             kind, duration
         )
     return TimelineSummary.window_digest(timeline, kind, duration)
+
+
+def _shifted(timeline: Timeline, delta: float) -> Timeline:
+    """``timeline`` translated in time by ``delta`` seconds."""
+    if delta == 0.0:
+        return timeline
+    return Timeline([segment.shifted(delta) for segment in timeline.segments])
+
+
+def _check_window(
+    scheme: "DisplayScheme", config: SystemConfig, index: int,
+    result: "WindowResult", duration: float | None = None,
+) -> None:
+    """Validate planned window ``index``: non-empty and ``duration``
+    long (when given; a cached plan was checked when first planned),
+    and on time under ``strict_deadlines``."""
+    timeline = result.timeline
+    if duration is not None and not timeline.segments:
+        raise SimulationError(f"{scheme.name}: window {index} is empty")
+    if duration is not None and abs(timeline.duration - duration) > 1e-7:
+        raise SimulationError(
+            f"{scheme.name}: window {index} covers "
+            f"{timeline.duration:.6f}s, expected {duration:.6f}s"
+        )
+    if result.deadline_missed and config.strict_deadlines:
+        raise DeadlineMissError(
+            f"{scheme.name}: window {index} missed its deadline"
+        )
+
+
+def _count_run(stats: "RunStats", collapse: tuple[int, int] | None) -> None:
+    """Registry counters every completed (non-memo) run bumps;
+    ``collapse`` is ``(hits, misses)`` when collapsing was enabled."""
+    registry = obs_metrics.registry()
+    registry.counter(
+        "sim.runs", "simulator runs completed (cache misses only)"
+    ).inc()
+    registry.counter(
+        "sim.windows", "refresh windows planned"
+    ).inc(stats.windows)
+    registry.counter(
+        "sim.deadline_misses", "windows that missed their deadline"
+    ).inc(stats.deadline_misses)
+    if collapse is not None:
+        registry.counter(
+            "sim.collapse.hit",
+            "windows replayed from the repeat-window memo",
+        ).inc(collapse[0])
+        registry.counter(
+            "sim.collapse.miss",
+            "windows planned fresh with collapsing enabled",
+        ).inc(collapse[1])
 
 
 def _stamp_content(
@@ -93,6 +143,56 @@ def _stamp_content(
         for segment in result.timeline.segments
     ]
     return dataclasses.replace(result, timeline=Timeline(segments))
+
+
+class _FrameFeed:
+    """The frame (and VR work) a walker presents, pulled lazily — at
+    most one pull per new-frame window, so sources cost O(1) frame
+    memory.  ``next_frame`` returns ``None`` once frames run out."""
+
+    def __init__(
+        self,
+        next_frame: "Callable[[], FrameDescriptor | None]",
+        vr_work: "Sequence[VrWork] | None",
+    ) -> None:
+        self.next_frame = next_frame
+        self.vr_iter = iter(vr_work) if vr_work is not None else None
+        self.frame: FrameDescriptor | None = None
+        self.vr: VrWork | None = None
+        self.pulled = 0
+
+    @classmethod
+    def of(
+        cls, source: FrameSource, vr_work: "Sequence[VrWork] | None"
+    ) -> "_FrameFeed":
+        """A feed pulling from ``source``, its first frame current."""
+        feed = cls(functools.partial(next, iter(source), None), vr_work)
+        feed.first()
+        return feed
+
+    def first(self) -> None:
+        """Pull the first frame (every cadence starts with one)."""
+        self.pull_through(0)
+        if self.frame is None:
+            raise SimulationError("cannot simulate an empty frame list")
+
+    def pull_through(self, frame_index: int) -> None:
+        """Pull until ``frame_index`` is current or the frames run out
+        (later windows then re-present the last frame, clamped)."""
+        while self.pulled <= frame_index:
+            frame = self.next_frame()
+            if frame is None:
+                return
+            if self.vr_iter is not None:
+                try:
+                    self.vr = next(self.vr_iter)
+                except StopIteration:
+                    raise SimulationError(
+                        "vr_work exhausted before frames "
+                        f"(frame {self.pulled})"
+                    ) from None
+            self.frame = frame
+            self.pulled += 1
 
 
 @dataclass(frozen=True)
@@ -331,13 +431,8 @@ def freeze(value: Any) -> Any:
         )
     if isinstance(value, (set, frozenset)):
         return ("s", tuple(sorted(repr(freeze(item)) for item in value)))
-    try:
-        import numpy as _np
-
-        if isinstance(value, _np.generic):
-            return freeze(value.item())
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        pass
+    if isinstance(value, np.generic):
+        return freeze(value.item())
     if hasattr(value, "__dict__") and not callable(value):
         return (
             "o",
@@ -455,29 +550,6 @@ def default_retain() -> str:
     return _default_retain
 
 
-#: Process-wide engine override; ``None`` defers to the
-#: ``REPRO_SIM_ENGINE`` environment variable (default ``"auto"``).
-_default_engine: str | None = None
-
-
-def set_default_engine(mode: str | None) -> str | None:
-    """Set the process-wide engine default; returns the previous
-    override (``None`` means "follow ``REPRO_SIM_ENGINE``")."""
-    global _default_engine
-    if mode is not None and mode not in ENGINE_MODES:
-        raise SimulationError(f"unknown engine mode {mode!r}")
-    previous = _default_engine
-    _default_engine = mode
-    return previous
-
-
-def default_engine() -> str:
-    """The engine mode ``run(engine=None)`` resolves to."""
-    if _default_engine is not None:
-        return _default_engine
-    return os.environ.get("REPRO_SIM_ENGINE", "auto").strip() or "auto"
-
-
 #: Process-wide plan-cache override; ``None`` defers to the
 #: ``REPRO_PLAN_CACHE`` environment variable (default off).
 _plan_cache_override: bool | None = None
@@ -520,6 +592,21 @@ class PlanMemo(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def _check_max_windows(max_windows: Any) -> None:
+    """Reject a ``max_windows`` that is not ``None`` or an int >= 0."""
+    if max_windows is None:
+        return
+    if (
+        isinstance(max_windows, bool)
+        or not isinstance(max_windows, (int, np.integer))
+        or max_windows < 0
+    ):
+        raise ConfigurationError(
+            f"max_windows must be a non-negative integer, got "
+            f"{max_windows!r}"
+        )
+
+
 @dataclass
 class _CollapseEntry:
     """The memoized previous window for repeat-window collapsing."""
@@ -539,7 +626,7 @@ class _BatchEntry:
     result: WindowResult
     #: One-window summary for scaled replay.  ``None`` until someone
     #: needs it — unique windows absorb their segments directly at
-    #: finalization instead, matching the scalar loop's cost.
+    #: finalization instead, matching the streaming walker's cost.
     digest: TimelineSummary | None
     final_state: PackageCState
     #: The window kind the digest (or direct absorption) files under.
@@ -558,7 +645,6 @@ class FrameWindowSimulator:
 
     config: SystemConfig
     scheme: DisplayScheme
-    _tolerance: float = field(default=1e-9, repr=False)
 
     def run(
         self,
@@ -567,8 +653,6 @@ class FrameWindowSimulator:
         vr_work: list[VrWork] | None = None,
         max_windows: int | None = None,
         retain: str | None = None,
-        collapse: bool | None = None,
-        engine: str | None = None,
     ) -> RunResult:
         """Simulate displaying ``frames`` at ``video_fps``.
 
@@ -583,26 +667,22 @@ class FrameWindowSimulator:
         ``retain`` selects what the result keeps: ``"full"`` (the
         per-segment timeline, the historical behavior) or ``"summary"``
         (only the online :class:`TimelineSummary`); ``None`` defers to
-        :func:`default_retain`.  ``collapse`` enables repeat-window
-        collapsing — consecutive windows identical in (scheme state,
-        kind, frame, entry state) replay the memoized previous plan,
-        time-shifted — and defaults to on whenever the scheme exposes
-        ``plan_key()``.  Collapsing is always disabled while a tracer is
-        active, keeping golden traces byte-stable.
+        :func:`default_retain`.
 
-        ``engine`` selects the cadence walker (see :data:`ENGINE_MODES`;
-        ``None`` defers to :func:`default_engine`).  The batch engine
-        extends collapsing run-wide: windows group by ``(plan_key, kind,
-        frame, entry state)``, each distinct plan is priced once and
-        replayed as a count, and — when :func:`plan_cache_active` — new
-        groups are first looked up in the cross-run plan cache.  Every
-        condition that disables collapsing (active tracer, no
-        ``plan_key()``, ``collapse=False``) also falls the engine back
-        to the scalar loop, so traced runs stay byte-identical.
+        The cadence walker follows from what the run can observe.  An
+        untraced run of a scheme exposing ``plan_key()`` takes the
+        batch window engine: windows group by ``(plan_key, kind, frame,
+        entry state)``, each distinct plan is priced once and replayed
+        as a count, and — when :func:`plan_cache_active` — new groups
+        are first looked up in the cross-run plan cache.  Every other
+        run (an active tracer, or a scheme without ``plan_key()``) is
+        walked window by window by :class:`StreamingSimulator`, which
+        keeps traced runs byte-identical to the golden traces.
         """
         retain_mode = _default_retain if retain is None else retain
         if retain_mode not in RETAIN_MODES:
             raise SimulationError(f"unknown retain mode {retain_mode!r}")
+        _check_max_windows(max_windows)
         source = as_frame_source(frames)
         try:
             frame_count: int | None = len(source)  # type: ignore[arg-type]
@@ -619,12 +699,6 @@ class FrameWindowSimulator:
                 "vr_work must parallel frames "
                 f"({len(vr_work)} vs {frame_count})"
             )
-        tracer = obs_trace.active()
-        collapse_enabled = (
-            tracer is None
-            and getattr(self.scheme, "plan_key", None) is not None
-            and (collapse is None or collapse)
-        )
         memo = _active_memo
         key = None
         if memo is not None:
@@ -648,230 +722,29 @@ class FrameWindowSimulator:
             raise SimulationError(
                 "a frame source without a length needs max_windows"
             )
-        engine_mode = engine if engine is not None else default_engine()
-        if engine_mode not in ENGINE_MODES:
-            raise SimulationError(f"unknown engine mode {engine_mode!r}")
-        if engine_mode != "scalar" and collapse_enabled:
-            return self._run_batch(
-                source, video_fps, vr_work, retain_mode, memo, key,
-                timing, window_count,
+        if (
+            obs_trace.active() is None
+            and getattr(self.scheme, "plan_key", None) is not None
+        ):
+            run = self._run_batch(
+                source, video_fps, vr_work, retain_mode, memo, timing,
+                window_count,
             )
-        run_span = None
-        if tracer is not None:
-            run_span = tracer.begin_span(
-                "sim.run",
-                t=0.0,
-                scheme=self.scheme.name,
-                video_fps=float(video_fps),
-                frames=frame_count if frame_count is not None else -1,
-                windows=window_count,
-                vr=vr_work is not None,
-            )
-        stats = RunStats()
-        timelines: list[Timeline] = []
-        summary = TimelineSummary()
-        state = PackageCState.C0
-        window_seconds = obs_metrics.registry().histogram(
-            "sim.window_s", "planned refresh-window durations (s)",
-            buckets=obs_metrics.LATENCY_BUCKETS,
-        )
-        frame_iter = iter(source)
-        vr_iter = iter(vr_work) if vr_work is not None else None
-        try:
-            current_frame = next(frame_iter)
-        except StopIteration:
-            raise SimulationError(
-                "cannot simulate an empty frame list"
-            ) from None
-        current_vr = next(vr_iter) if vr_iter is not None else None
-        pulled = 1
-        collapse_entry: _CollapseEntry | None = None
-        collapse_hits = 0
-        collapse_misses = 0
-        for plan in timing.windows(window_count):
-            while pulled <= plan.frame_index:
-                try:
-                    current_frame = next(frame_iter)
-                except StopIteration:
-                    break
-                if vr_iter is not None:
-                    try:
-                        current_vr = next(vr_iter)
-                    except StopIteration:
-                        raise SimulationError(
-                            "vr_work exhausted before frames "
-                            f"(frame {pulled})"
-                        ) from None
-                pulled += 1
-            #: The stream ran out and this window re-presents the last
-            #: frame: effectively a repeat regardless of the cadence.
-            clamped = plan.frame_index > pulled - 1
-            effective_new_frame = plan.is_new_frame and not clamped
-            effective_kind = (
-                "new_frame" if effective_new_frame else "repeat"
-            )
-            ctx = WindowContext(
-                config=self.config,
-                window=plan,
-                frame=current_frame,
-                vr=current_vr,
-                initial_state=state,
-            )
-            window_span = None
-            if tracer is not None:
-                window_span = tracer.begin_span(
-                    "sim.window",
-                    t=plan.start,
-                    index=plan.index,
-                    kind="new_frame" if plan.is_new_frame else "repeat",
-                    frame=pulled - 1,
-                    initial_state=state,
-                )
-            window_seconds.observe(plan.duration)
-            window_key: tuple | None = None
-            if collapse_enabled:
-                window_key = (
-                    self.scheme.plan_key(),
-                    plan.kind,
-                    plan.frame_index if plan.is_new_frame else None,
-                    current_frame,
-                    current_vr,
-                    state,
-                    plan.duration,
-                )
-            if (
-                collapse_entry is not None
-                and window_key is not None
-                and collapse_entry.key == window_key
-            ):
-                collapse_hits += 1
-                result = collapse_entry.result
-                digest = collapse_entry.digest
-                if retain_mode == "full":
-                    delta = plan.start - collapse_entry.start
-                    timelines.append(
-                        Timeline(
-                            [
-                                segment.shifted(delta)
-                                for segment in result.timeline.segments
-                            ]
-                        )
-                    )
-                stats.record(plan, result, new_frame=effective_new_frame)
-                summary.absorb(digest)
-                state = collapse_entry.final_state
-                continue
-            result = _stamp_content(
-                self.scheme.plan_window(ctx), current_frame
-            )
-            self._validate_window(plan, result)
-            if result.deadline_missed and self.config.strict_deadlines:
-                raise DeadlineMissError(
-                    f"{self.scheme.name}: window {plan.index} missed its "
-                    f"deadline"
-                )
-            stats.record(plan, result, new_frame=effective_new_frame)
-            digest = TimelineSummary.window_digest(
-                result.timeline, effective_kind, plan.duration
-            )
-            summary.absorb(digest)
-            if retain_mode == "full":
-                timelines.append(result.timeline)
-            state = result.timeline.segments[-1].state
-            if collapse_enabled:
-                collapse_misses += 1
-                collapse_entry = _CollapseEntry(
-                    key=window_key,  # type: ignore[arg-type]
-                    start=plan.start,
-                    result=result,
-                    digest=digest,
-                    final_state=state,
-                )
-            if tracer is not None:
-                for segment in result.timeline:
-                    tracer.event(
-                        "sim.segment",
-                        t=segment.start,
-                        state=segment.state,
-                        duration=segment.duration,
-                        label=segment.label,
-                        transition=segment.transition,
-                    )
-                assert window_span is not None
-                tracer.end_span(
-                    window_span,
-                    t=plan.end,
-                    deadline_missed=result.deadline_missed,
-                    vd_wakes=result.vd_wakes,
-                    used_psr=result.used_psr,
-                    bypassed_dram=result.bypassed_dram,
-                    burst=result.burst,
-                    final_state=state,
-                )
-        run = RunResult(
-            scheme=self.scheme.name,
-            config=self.config,
-            timeline=(
-                Timeline.concatenate(timelines)
-                if retain_mode == "full"
-                else None
-            ),
-            stats=stats,
-            video_fps=video_fps,
-            summary=summary,
-            cache_key=key,
-        )
-        registry = obs_metrics.registry()
-        registry.counter(
-            "sim.runs", "simulator runs completed (cache misses only)"
-        ).inc()
-        registry.counter(
-            "sim.windows", "refresh windows planned"
-        ).inc(stats.windows)
-        registry.counter(
-            "sim.deadline_misses", "windows that missed their deadline"
-        ).inc(stats.deadline_misses)
-        if collapse_enabled:
-            registry.counter(
-                "sim.collapse.hit",
-                "windows replayed from the repeat-window memo",
-            ).inc(collapse_hits)
-            registry.counter(
-                "sim.collapse.miss",
-                "windows planned fresh with collapsing enabled",
-            ).inc(collapse_misses)
-        if tracer is not None:
-            assert run_span is not None
-            tracer.end_span(
-                run_span,
-                t=(
-                    run.timeline.end
-                    if run.timeline is not None
-                    else summary.end
-                ),
-                windows=stats.windows,
-                new_frame_windows=stats.new_frame_windows,
-                repeat_windows=stats.repeat_windows,
-                deadline_misses=stats.deadline_misses,
-                vd_wakes=stats.vd_wakes,
-                psr_windows=stats.psr_windows,
-                bypassed_windows=stats.bypassed_windows,
-                burst_windows=stats.burst_windows,
-            )
+        else:
+            run = StreamingSimulator(
+                self.config, self.scheme, video_fps,
+                max_windows=window_count, vr_work=vr_work,
+                retain=retain_mode,
+            )._drain(source, frame_count)
+        run.cache_key = key
         if memo is not None and key is not None:
             memo.store(key, run)
         return run
 
     def _run_batch(
-        self,
-        source: FrameSource,
-        video_fps: float,
-        vr_work: list[VrWork] | None,
-        retain_mode: str,
-        memo: RunMemo | None,
-        key: str | None,
-        timing: RefreshTiming,
-        window_count: int,
+        self, source: FrameSource, video_fps: float,
+        vr_work: list[VrWork] | None, retain_mode: str,
+        memo: RunMemo | None, timing: RefreshTiming, window_count: int,
     ) -> RunResult:
         """The batch window engine: price each distinct plan once.
 
@@ -881,10 +754,9 @@ class FrameWindowSimulator:
         ``frame_phase``), so re-indexed copies of one frame share; the
         cadence is walked as chunked numpy tables so repeat runs
         between new frames cost O(1) instead of O(windows), at flat
-        memory in run length.  Only reachable
-        untraced with collapsing legal, so its aggregates must (and do)
-        match the scalar loop to the collapse parity budget, with
-        identical :class:`RunStats`.
+        memory in run length.  Its aggregates match the streaming
+        walker to the collapse parity budget, with identical
+        :class:`RunStats`.
         """
         scheme = self.scheme
         config = self.config
@@ -902,20 +774,9 @@ class FrameWindowSimulator:
                     yield base + int(offset), int(due[offset])
                 base += size
 
-        frame_iter = iter(source)
-        vr_iter = iter(vr_work) if vr_work is not None else None
-        try:
-            current_frame = next(frame_iter)
-        except StopIteration:
-            raise SimulationError(
-                "cannot simulate an empty frame list"
-            ) from None
-        current_vr = next(vr_iter) if vr_iter is not None else None
-        pulled = 1
-
+        feed = _FrameFeed.of(source, vr_work)
         plan_key = scheme.plan_key()
         phase_fn = getattr(scheme, "frame_phase", None)
-        strict = config.strict_deadlines
         retain_full = retain_mode == "full"
 
         plan_cache: Any = None
@@ -958,20 +819,10 @@ class FrameWindowSimulator:
             cache_token = None
             if plan_cache is not None:
                 try:
-                    frozen = repr(
-                        freeze(
-                            (
-                                plan_key,
-                                kind,
-                                effective_kind,
-                                wkey[3],
-                                wkey[4],
-                                current_vr,
-                                state,
-                                duration,
-                            )
-                        )
-                    )
+                    frozen = repr(freeze((
+                        plan_key, kind, effective_kind, wkey[3], wkey[4],
+                        feed.vr, state, duration,
+                    )))
                 except TypeError:
                     frozen = None
                 if frozen is not None:
@@ -980,11 +831,7 @@ class FrameWindowSimulator:
                     cache_token = hasher.hexdigest()
                     cached = plan_cache.load_plan(cache_token)
                     if cached is not None:
-                        if cached.result.deadline_missed and strict:
-                            raise DeadlineMissError(
-                                f"{scheme.name}: window {index} missed "
-                                f"its deadline"
-                            )
+                        _check_window(scheme, config, index, cached.result)
                         cache_hits += 1
                         entry = _BatchEntry(
                             start=cached.start,
@@ -1009,19 +856,12 @@ class FrameWindowSimulator:
             ctx = WindowContext(
                 config=config,
                 window=plan,
-                frame=current_frame,
-                vr=current_vr,
+                frame=feed.frame,  # type: ignore[arg-type]
+                vr=feed.vr,
                 initial_state=state,
             )
-            result = _stamp_content(
-                scheme.plan_window(ctx), current_frame
-            )
-            self._validate_window(plan, result)
-            if result.deadline_missed and strict:
-                raise DeadlineMissError(
-                    f"{scheme.name}: window {plan.index} missed its "
-                    f"deadline"
-                )
+            result = _stamp_content(scheme.plan_window(ctx), feed.frame)
+            _check_window(scheme, config, index, result, duration)
             fresh_plans += 1
             entry = _BatchEntry(
                 start=plan.start,
@@ -1061,19 +901,11 @@ class FrameWindowSimulator:
             nonlocal state
             entry.count += 1
             if retain_full:
-                delta = index * duration - entry.start
-                if delta == 0.0:
-                    timelines.append(entry.result.timeline)
-                else:
-                    timelines.append(
-                        Timeline(
-                            [
-                                segment.shifted(delta)
-                                for segment in
-                                entry.result.timeline.segments
-                            ]
-                        )
+                timelines.append(
+                    _shifted(
+                        entry.result.timeline, index * duration - entry.start
                     )
+                )
             state = entry.final_state
 
         starts = group_starts()
@@ -1082,21 +914,10 @@ class FrameWindowSimulator:
             i0, frame_index = pending
             pending = next(starts, None)
             i1 = pending[0] if pending is not None else window_count
-            while pulled <= frame_index:
-                try:
-                    current_frame = next(frame_iter)
-                except StopIteration:
-                    break
-                if vr_iter is not None:
-                    try:
-                        current_vr = next(vr_iter)
-                    except StopIteration:
-                        raise SimulationError(
-                            "vr_work exhausted before frames "
-                            f"(frame {pulled})"
-                        ) from None
-                pulled += 1
-            clamped = frame_index > pulled - 1
+            if feed.pulled <= frame_index:
+                feed.pull_through(frame_index)
+            frame, vr = feed.frame, feed.vr
+            clamped = frame_index > feed.pulled - 1
             effective_new = not clamped
             effective_kind = "new_frame" if effective_new else "repeat"
             phase = (
@@ -1108,10 +929,10 @@ class FrameWindowSimulator:
             # same frame under fresh indices (e.g. ambient redraws),
             # and schemes plan from content alone (see DisplayScheme).
             frame_token = (
-                current_frame.frame_type,
-                current_frame.encoded_bytes,
-                current_frame.decoded_bytes,
-                current_frame.attributes,
+                frame.frame_type,  # type: ignore[union-attr]
+                frame.encoded_bytes,  # type: ignore[union-attr]
+                frame.decoded_bytes,  # type: ignore[union-attr]
+                frame.attributes,  # type: ignore[union-attr]
             )
             wkey = (
                 plan_key,
@@ -1119,7 +940,7 @@ class FrameWindowSimulator:
                 effective_kind,
                 phase,
                 frame_token,
-                current_vr,
+                vr,
                 state,
                 duration,
             )
@@ -1140,7 +961,7 @@ class FrameWindowSimulator:
                     "repeat",
                     None,
                     frame_token,
-                    current_vr,
+                    vr,
                     state,
                     duration,
                 )
@@ -1181,7 +1002,7 @@ class FrameWindowSimulator:
                 summary.absorb_scaled(entry.digest, count)
             elif count == 1:
                 # Unique window: fold its segments straight into the
-                # run summary — one pass, exactly the scalar loop.
+                # run summary — one pass, exactly the streaming walker.
                 timeline = result.timeline
                 kind = entry.effective_kind
                 for segment in timeline.segments:
@@ -1204,7 +1025,6 @@ class FrameWindowSimulator:
             stats=stats,
             video_fps=video_fps,
             summary=summary,
-            cache_key=key,
         )
         registry = obs_metrics.registry()
         registry.histogram(
@@ -1212,25 +1032,9 @@ class FrameWindowSimulator:
             buckets=obs_metrics.LATENCY_BUCKETS,
         ).observe_many(duration, stats.windows)
         registry.counter(
-            "sim.runs", "simulator runs completed (cache misses only)"
-        ).inc()
-        registry.counter(
             "sim.batch.runs", "runs executed by the batch window engine"
         ).inc()
-        registry.counter(
-            "sim.windows", "refresh windows planned"
-        ).inc(stats.windows)
-        registry.counter(
-            "sim.deadline_misses", "windows that missed their deadline"
-        ).inc(stats.deadline_misses)
-        registry.counter(
-            "sim.collapse.hit",
-            "windows replayed from the repeat-window memo",
-        ).inc(stats.windows - fresh_plans)
-        registry.counter(
-            "sim.collapse.miss",
-            "windows planned fresh with collapsing enabled",
-        ).inc(fresh_plans)
+        _count_run(stats, (stats.windows - fresh_plans, fresh_plans))
         group_sizes = registry.histogram(
             "sim.batch.group_windows",
             "windows replayed per batch-engine plan group",
@@ -1246,26 +1050,11 @@ class FrameWindowSimulator:
                 "sim.plan_cache.miss",
                 "plan-cache lookups that fell through to fresh planning",
             ).inc(cache_misses)
-        if memo is not None and key is not None:
-            memo.store(key, run)
         return run
-
-    def _validate_window(self, plan: WindowPlan,
-                         result: WindowResult) -> None:
-        timeline = result.timeline
-        if not timeline.segments:
-            raise SimulationError(
-                f"{self.scheme.name}: window {plan.index} is empty"
-            )
-        if abs(timeline.duration - plan.duration) > 1e-7:
-            raise SimulationError(
-                f"{self.scheme.name}: window {plan.index} covers "
-                f"{timeline.duration:.6f}s, expected {plan.duration:.6f}s"
-            )
 
 
 # ---------------------------------------------------------------------------
-# Incremental simulation: the push-driven front end for the serve plane
+# The window-by-window walker: traced runs, plan_key-less schemes, serve
 # ---------------------------------------------------------------------------
 
 #: Effectively-infinite window count for the streaming cadence walker.
@@ -1298,30 +1087,32 @@ class StreamingWindow:
 
 
 class StreamingSimulator:
-    """The scalar simulator loop, inverted: frames are *pushed* in and
-    windows come out as the cadence allows.
+    """The window-by-window cadence walker.
 
-    ``repro serve`` sessions feed frames as they arrive over the wire;
-    this class advances through exactly the code path of
-    :meth:`FrameWindowSimulator.run` at ``engine="scalar"`` — the same
-    :meth:`RefreshTiming.windows` plans, the same pull/clamp logic, the
-    same repeat-window collapsing, the same
-    :meth:`TimelineSummary.window_digest` absorption order — so the
-    final summary is byte-identical to the offline run of the same
-    stream.  Live observation must not perturb the simulation; this is
-    the invariant the serve acceptance test pins.
+    Frames are either *pushed* by a live caller (``repro serve``
+    sessions, as frames arrive over the wire) or pulled lazily from a
+    source when :meth:`FrameWindowSimulator.run` falls back here
+    (traced runs, schemes without ``plan_key()``).  Both drive the
+    same :meth:`_step` — same plans, pull/clamp logic, collapsing (on
+    when the scheme exposes ``plan_key()`` and no tracer is active)
+    and digest order — so a pushed stream's result is byte-identical
+    to the offline run of the same stream: live observation never
+    perturbs the simulation.
 
-    While the stream is open the walker only advances windows whose
-    frames are certain to exist in any completed stream (``index <
-    round(frames_seen * windows_per_frame)``); a caller that cannot
-    advance is *stalled* (backpressure).  :meth:`end` declares the
-    stream complete, fixing the total window count the way ``run()``
-    computes it, and drains the remaining windows (re-presenting the
-    last frame, clamped, exactly like an exhausted offline source).
+    While a pushed stream is open the walker only advances windows
+    whose frames are certain to exist in any completed stream
+    (``index < round(frames_seen * windows_per_frame)``); a caller
+    that cannot advance is *stalled* (backpressure).  :meth:`end`
+    declares the stream complete, fixing the total window count the
+    way ``run()`` computes it, and drains the remaining windows
+    (re-presenting the last frame, clamped, exactly like an exhausted
+    offline source).
 
-    Tracing and VR work are not supported — serve sessions are
-    untraced planar streams, which is also the precondition for
-    repeat-window collapsing.
+    ``vr_work`` (one entry per frame, consumed in step with the
+    frames) marks a VR run; ``retain`` selects what :meth:`result`
+    keeps, as in ``run()``.  Under an active tracer every window emits
+    its ``sim.window`` span and ``sim.segment`` events inside one
+    ``sim.run`` span.
     """
 
     def __init__(
@@ -1330,28 +1121,30 @@ class StreamingSimulator:
         scheme: DisplayScheme,
         video_fps: float,
         max_windows: int | None = None,
-        collapse: bool | None = None,
+        vr_work: Sequence[VrWork] | None = None,
+        retain: str = "summary",
     ) -> None:
+        if retain not in RETAIN_MODES:
+            raise SimulationError(f"unknown retain mode {retain!r}")
+        _check_max_windows(max_windows)
         self.config = config
         self.scheme = scheme
         self.video_fps = float(video_fps)
         self.max_windows = max_windows
-        self._timing = RefreshTiming(
-            config.panel.refresh_hz, video_fps
-        )
+        self._timing = RefreshTiming(config.panel.refresh_hz, video_fps)
         self._plans = self._timing.windows(_STREAM_HORIZON)
+        self._tracer = obs_trace.active()
+        self._run_span: int | None = None
         self._collapse_enabled = (
-            obs_trace.active() is None
+            self._tracer is None
             and getattr(scheme, "plan_key", None) is not None
-            and (collapse is None or collapse)
         )
         self._window_seconds = obs_metrics.registry().histogram(
             "sim.window_s", "planned refresh-window durations (s)",
             buckets=obs_metrics.LATENCY_BUCKETS,
         )
         self._buffer: "deque[FrameDescriptor]" = deque()
-        self._current_frame: FrameDescriptor | None = None
-        self._pulled = 0
+        self._feed = _FrameFeed(self._pop_buffered, vr_work)
         self.frames_seen = 0
         self._ended = False
         self._done = False
@@ -1359,6 +1152,9 @@ class StreamingSimulator:
         self._state = PackageCState.C0
         self.stats = RunStats()
         self.summary = TimelineSummary()
+        self._timelines: list[Timeline] | None = (
+            [] if retain == "full" else None
+        )
         self._collapse_entry: _CollapseEntry | None = None
         self._collapse_hits = 0
         self._collapse_misses = 0
@@ -1369,16 +1165,11 @@ class StreamingSimulator:
     def push(self, frame: FrameDescriptor) -> list[StreamingWindow]:
         """Append one frame and advance every window it unblocks."""
         if self._ended:
-            raise SimulationError(
-                "cannot push frames after the stream ended"
-            )
-        if self._current_frame is None:
-            # The scalar loop pulls the first frame before any window.
-            self._current_frame = frame
-            self._pulled = 1
-        else:
-            self._buffer.append(frame)
+            raise SimulationError("cannot push frames after the stream ended")
+        self._buffer.append(frame)
         self.frames_seen += 1
+        if self._feed.frame is None:
+            self._open(frames=-1)
         return self.advance()
 
     def end(self) -> list[StreamingWindow]:
@@ -1387,6 +1178,38 @@ class StreamingSimulator:
             raise SimulationError("cannot simulate an empty frame list")
         self._ended = True
         return self.advance()
+
+    def _pop_buffered(self) -> FrameDescriptor | None:
+        return self._buffer.popleft() if self._buffer else None
+
+    def _drain(
+        self, source: FrameSource, frame_count: int | None
+    ) -> RunResult:
+        """Walk a whole offline run of ``max_windows`` windows, pulling
+        frames lazily from ``source`` (O(1) frame memory)."""
+        self._feed.next_frame = functools.partial(next, iter(source), None)
+        self._open(frames=frame_count if frame_count is not None else -1)
+        step = self._step
+        for plan in self._timing.windows(self.max_windows):
+            step(plan)
+        self._next_index = self.max_windows
+        self._ended = self._done = True
+        return self._finish()
+
+    def _open(self, frames: int) -> None:
+        """Open the traced ``sim.run`` span and pull the first frame
+        (the cadence needs one before any window)."""
+        if self._tracer is not None:
+            self._run_span = self._tracer.begin_span(
+                "sim.run",
+                t=0.0,
+                scheme=self.scheme.name,
+                video_fps=self.video_fps,
+                frames=frames,
+                windows=-1 if self.max_windows is None else self.max_windows,
+                vr=self._feed.vr_iter is not None,
+            )
+        self._feed.first()
 
     # -- advancing ----------------------------------------------------------
 
@@ -1409,20 +1232,19 @@ class StreamingSimulator:
         return min(natural, self.max_windows)
 
     def advance(self) -> list[StreamingWindow]:
-        """Advance every window currently allowed to run.
-
-        Open streams stop at the conservative horizon (no window may
-        outrun a frame that has not arrived); ended streams stop at
-        the run's total window count.  Returns the windows advanced
-        (possibly empty — the *stalled* case for an open stream).
-        """
+        """Advance every window :attr:`_horizon` allows; returns them
+        (empty is the *stalled* case for an open stream)."""
         produced: list[StreamingWindow] = []
         while not self._done:
             if self._next_index >= self._horizon:
                 if self._ended:
                     self._done = True
                 break
-            produced.append(self._step(next(self._plans)))
+            plan = next(self._plans)
+            kind, digest, collapsed, missed = self._step(plan)
+            produced.append(StreamingWindow(
+                plan, kind, digest, self._state, collapsed, missed
+            ))
             self._next_index += 1
         return produced
 
@@ -1441,24 +1263,32 @@ class StreamingSimulator:
     def finished(self) -> bool:
         return self._done
 
-    def _step(self, plan: WindowPlan) -> StreamingWindow:
-        while self._pulled <= plan.frame_index:
-            if not self._buffer:
-                break
-            self._current_frame = self._buffer.popleft()
-            self._pulled += 1
-        clamped = plan.frame_index > self._pulled - 1
+    def _step(
+        self, plan: WindowPlan
+    ) -> tuple[str, TimelineSummary, bool, bool]:
+        """Advance one window; returns its effective kind, digest,
+        whether it was a collapse hit, and whether it missed its
+        deadline."""
+        feed = self._feed
+        if feed.pulled <= plan.frame_index:
+            feed.pull_through(plan.frame_index)
+        #: The stream ran out and this window re-presents the last
+        #: frame: effectively a repeat regardless of the cadence.
+        clamped = plan.frame_index > feed.pulled - 1
         effective_new_frame = plan.is_new_frame and not clamped
-        effective_kind = (
-            "new_frame" if effective_new_frame else "repeat"
-        )
-        ctx = WindowContext(
-            config=self.config,
-            window=plan,
-            frame=self._current_frame,  # type: ignore[arg-type]
-            vr=None,
-            initial_state=self._state,
-        )
+        effective_kind = "new_frame" if effective_new_frame else "repeat"
+        frame, vr, state = feed.frame, feed.vr, self._state
+        tracer = self._tracer
+        window_span = None
+        if tracer is not None:
+            window_span = tracer.begin_span(
+                "sim.window",
+                t=plan.start,
+                index=plan.index,
+                kind="new_frame" if plan.is_new_frame else "repeat",
+                frame=feed.pulled - 1,
+                initial_state=state,
+            )
         self._window_seconds.observe(plan.duration)
         window_key: tuple | None = None
         if self._collapse_enabled:
@@ -1466,45 +1296,42 @@ class StreamingSimulator:
                 self.scheme.plan_key(),
                 plan.kind,
                 plan.frame_index if plan.is_new_frame else None,
-                self._current_frame,
-                None,
-                self._state,
+                frame,
+                vr,
+                state,
                 plan.duration,
             )
-        entry = self._collapse_entry
-        if (
-            entry is not None
-            and window_key is not None
-            and entry.key == window_key
-        ):
-            self._collapse_hits += 1
-            self.stats.record(
-                plan, entry.result, new_frame=effective_new_frame
-            )
-            self.summary.absorb(entry.digest)
-            self._state = entry.final_state
-            return StreamingWindow(
-                plan=plan,
-                effective_kind=effective_kind,
-                digest=entry.digest,
-                final_state=self._state,
-                collapsed=True,
-                deadline_missed=entry.result.deadline_missed,
-            )
-        result = _stamp_content(
-            self.scheme.plan_window(ctx), self._current_frame
+            entry = self._collapse_entry
+            if entry is not None and entry.key == window_key:
+                self._collapse_hits += 1
+                result = entry.result
+                if self._timelines is not None:
+                    self._timelines.append(
+                        _shifted(result.timeline, plan.start - entry.start)
+                    )
+                self.stats.record(plan, result, new_frame=effective_new_frame)
+                self.summary.absorb(entry.digest)
+                self._state = entry.final_state
+                return (effective_kind, entry.digest, True,
+                        result.deadline_missed)
+        ctx = WindowContext(
+            config=self.config,
+            window=plan,
+            frame=frame,  # type: ignore[arg-type]
+            vr=vr,
+            initial_state=state,
         )
-        self._validate_window(plan, result)
-        if result.deadline_missed and self.config.strict_deadlines:
-            raise DeadlineMissError(
-                f"{self.scheme.name}: window {plan.index} missed its "
-                f"deadline"
-            )
+        result = _stamp_content(self.scheme.plan_window(ctx), frame)
+        _check_window(
+            self.scheme, self.config, plan.index, result, plan.duration
+        )
         self.stats.record(plan, result, new_frame=effective_new_frame)
         digest = TimelineSummary.window_digest(
             result.timeline, effective_kind, plan.duration
         )
         self.summary.absorb(digest)
+        if self._timelines is not None:
+            self._timelines.append(result.timeline)
         self._state = result.timeline.segments[-1].state
         if self._collapse_enabled:
             self._collapse_misses += 1
@@ -1515,56 +1342,67 @@ class StreamingSimulator:
                 digest=digest,
                 final_state=self._state,
             )
-        return StreamingWindow(
-            plan=plan,
-            effective_kind=effective_kind,
-            digest=digest,
-            final_state=self._state,
-            collapsed=False,
-            deadline_missed=result.deadline_missed,
-        )
-
-    _validate_window = FrameWindowSimulator._validate_window
+        if tracer is not None:
+            for segment in result.timeline:
+                tracer.event(
+                    "sim.segment",
+                    t=segment.start,
+                    state=segment.state,
+                    duration=segment.duration,
+                    label=segment.label,
+                    transition=segment.transition,
+                )
+            tracer.end_span(
+                window_span,  # type: ignore[arg-type]
+                t=plan.end,
+                deadline_missed=result.deadline_missed,
+                vd_wakes=result.vd_wakes,
+                used_psr=result.used_psr,
+                bypassed_dram=result.bypassed_dram,
+                burst=result.burst,
+                final_state=self._state,
+            )
+        return effective_kind, digest, False, result.deadline_missed
 
     # -- completion ---------------------------------------------------------
 
     def result(self) -> RunResult:
-        """The completed run (summary retention), with the run-level
-        registry counters incremented exactly once."""
+        """The completed run, with the run-level registry counters
+        incremented (and the traced ``sim.run`` span closed) exactly
+        once."""
         if not self._done:
             raise SimulationError(
                 "streaming run still has windows pending "
                 "(call end() first)"
             )
+        return self._finish()
+
+    def _finish(self) -> RunResult:
         if self._result is not None:
             return self._result
+        stats = self.stats
         run = RunResult(
             scheme=self.scheme.name,
             config=self.config,
-            timeline=None,
-            stats=self.stats,
+            timeline=(
+                Timeline.concatenate(self._timelines)
+                if self._timelines is not None
+                else None
+            ),
+            stats=stats,
             video_fps=self.video_fps,
             summary=self.summary,
-            cache_key=None,
         )
-        registry = obs_metrics.registry()
-        registry.counter(
-            "sim.runs", "simulator runs completed (cache misses only)"
-        ).inc()
-        registry.counter(
-            "sim.windows", "refresh windows planned"
-        ).inc(self.stats.windows)
-        registry.counter(
-            "sim.deadline_misses", "windows that missed their deadline"
-        ).inc(self.stats.deadline_misses)
-        if self._collapse_enabled:
-            registry.counter(
-                "sim.collapse.hit",
-                "windows replayed from the repeat-window memo",
-            ).inc(self._collapse_hits)
-            registry.counter(
-                "sim.collapse.miss",
-                "windows planned fresh with collapsing enabled",
-            ).inc(self._collapse_misses)
+        _count_run(
+            stats,
+            (self._collapse_hits, self._collapse_misses)
+            if self._collapse_enabled else None,
+        )
+        if self._run_span is not None:
+            self._tracer.end_span(  # type: ignore[union-attr]
+                self._run_span,
+                t=run.aggregate.end,
+                **dataclasses.asdict(stats),
+            )
         self._result = run
         return run

@@ -28,6 +28,20 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             RefreshTiming(60, 0)
 
+    @pytest.mark.parametrize(
+        "refresh_hz, video_fps",
+        [
+            (60, float("nan")),
+            (float("nan"), 30),
+            (float("inf"), 30),
+            (60, float("inf")),
+            (float("-inf"), 30),
+        ],
+    )
+    def test_non_finite_rates_rejected(self, refresh_hz, video_fps):
+        with pytest.raises(ConfigurationError):
+            RefreshTiming(refresh_hz, video_fps)
+
 
 class TestCadence:
     def test_30_on_60(self):

@@ -83,6 +83,46 @@ class TestServiceOps:
         bad = service.handle({"op": "open", "resolution": "8K"})
         assert not bad["ok"] and "8K" in bad["error"]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"max_windows": "x"},
+            {"max_windows": -5},
+            {"max_windows": 2.5},
+            {"max_windows": True},
+            {"fps": "abc"},
+            {"fps": float("nan")},
+            {"fps": float("inf")},
+            {"window_s": "q"},
+            {"window_s": float("nan")},
+            {"window_s": 0.0},
+            {"window_s": -1.0},
+        ],
+        ids=repr,
+    )
+    def test_open_rejects_malformed_fields(self, extra):
+        service = PowerAdvisorService()
+        response = service.handle({"op": "open", "session": "s", **extra})
+        assert response["ok"] is False
+        assert next(iter(extra)) in response["error"]
+        assert service.sessions == {}
+
+    def test_handler_exception_becomes_session_error(self):
+        service = PowerAdvisorService()
+        _open(service, "boom")
+        response = service.handle(
+            {"op": "stream", "session": "boom", "count": "many"}
+        )
+        assert response["ok"] is False
+        assert "ValueError" in response["error"]
+        record = service.events.recent[-1]
+        assert record["event"] == "session.error"
+        assert record["level"] == "error"
+        assert record["op"] == "stream" and record["session"] == "boom"
+        assert "ValueError" in record["traceback"]
+        # The service keeps serving.
+        assert service.handle({"op": "ping"})["ok"]
+
     def test_unknown_op_is_an_error_not_a_crash(self):
         service = PowerAdvisorService()
         response = service.handle({"op": "explode"})

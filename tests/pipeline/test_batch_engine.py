@@ -1,4 +1,9 @@
-"""The batch window engine and the cross-run plan cache."""
+"""The batch window engine and the cross-run plan cache.
+
+The reference walker throughout is the window-by-window
+:class:`~repro.pipeline.sim.StreamingSimulator` (itself pinned against
+``tests/golden/walker_oracle.json``); the batch engine must match it
+to the 1e-9 parity budget with identical stats."""
 
 import dataclasses
 
@@ -6,14 +11,12 @@ import pytest
 
 from repro.config import FHD, skylake_tablet
 from repro.core import BurstLinkScheme, FrameBurstingScheme
-from repro.errors import SimulationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
 from repro.pipeline.sim import (
-    default_engine,
+    StreamingSimulator,
     install_run_memo,
-    set_default_engine,
     set_plan_cache,
 )
 from repro.power import PowerModel
@@ -41,6 +44,18 @@ def _run(config, scheme, frames, fps, **kwargs):
     return FrameWindowSimulator(config, scheme).run(
         frames, fps, **kwargs
     )
+
+
+def _scalar(config, scheme, frames, fps, max_windows=None,
+            retain="full"):
+    """The reference: the window-by-window walker, frames pushed."""
+    walker = StreamingSimulator(
+        config, scheme, fps, max_windows=max_windows, retain=retain
+    )
+    for frame in frames:
+        walker.push(frame)
+    walker.end()
+    return walker.result()
 
 
 def _assert_same_aggregates(reference, other, rel=1e-9):
@@ -80,63 +95,43 @@ def _assert_same_power(reference, other, rel=1e-9):
 
 
 class TestEngineSelection:
-    def test_default_engine_round_trip(self):
-        previous = set_default_engine("scalar")
-        try:
-            assert default_engine() == "scalar"
-        finally:
-            set_default_engine(previous)
-
-    def test_unknown_engine_rejected(self, fhd_config, frames):
-        with pytest.raises(SimulationError):
-            _run(
-                fhd_config, ConventionalScheme(), frames, 30.0,
-                engine="bogus",
-            )
-
-    def test_set_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            set_default_engine("bogus")
-
     def test_batch_engine_runs_by_default(self, fhd_config, frames):
         before = _counter("sim.batch.runs")
         _run(fhd_config, ConventionalScheme(), frames, 30.0)
         assert _counter("sim.batch.runs") == before + 1
 
     def test_collapse_off_forces_scalar(self, fhd_config, frames):
+        """A scheme without ``plan_key()`` cannot collapse, so ``run()``
+        walks it window by window."""
+        from repro.core import WindowedVideoScheme
+
         before = _counter("sim.batch.runs")
         _run(
-            fhd_config, ConventionalScheme(), frames, 30.0,
-            collapse=False,
+            fhd_config.with_drfb(), WindowedVideoScheme(), frames, 30.0,
         )
         assert _counter("sim.batch.runs") == before
 
 
 class TestTracedFallback:
-    """An active tracer must force the scalar loop even when the batch
-    engine is requested explicitly — golden traces stay byte-exact."""
+    """An active tracer must force the window-by-window walker — golden
+    traces stay byte-exact."""
 
     def test_tracer_forces_scalar(self, fhd_config, frames):
         before = _counter("sim.batch.runs")
         with obs_trace.tracing():
             traced = _run(
                 fhd_config, ConventionalScheme(), frames, 30.0,
-                engine="batch",
             )
         assert _counter("sim.batch.runs") == before
         untraced = _run(
             fhd_config, ConventionalScheme(), frames, 30.0,
-            engine="batch",
         )
         assert _counter("sim.batch.runs") == before + 1
         _assert_same_aggregates(traced, untraced)
 
     def test_traced_spans_unchanged_by_engine(self, fhd_config, frames):
         with obs_trace.tracing() as tracer:
-            _run(
-                fhd_config, ConventionalScheme(), frames, 30.0,
-                engine="batch",
-            )
+            _run(fhd_config, ConventionalScheme(), frames, 30.0)
         names = [
             event.get("name")
             for event in tracer.events
@@ -164,14 +159,10 @@ class TestBatchParity:
         config = (
             fhd_config.with_drfb() if needs_drfb else fhd_config
         )
-        scalar = _run(
-            config, scheme_cls(), frames, 30.0,
-            retain=retain, engine="scalar",
+        scalar = _scalar(
+            config, scheme_cls(), frames, 30.0, retain=retain,
         )
-        batch = _run(
-            config, scheme_cls(), frames, 30.0,
-            retain=retain, engine="batch",
-        )
+        batch = _run(config, scheme_cls(), frames, 30.0, retain=retain)
         _assert_same_aggregates(scalar, batch)
         _assert_same_power(scalar, batch)
 
@@ -180,7 +171,7 @@ class TestBatchParity:
     ):
         run = _run(
             fhd_config, ConventionalScheme(), frames, 15.0,
-            retain="full", engine="batch",
+            retain="full",
         )
         segments = run.timeline.segments
         for previous, current in zip(segments, segments[1:]):
@@ -190,13 +181,13 @@ class TestBatchParity:
 
     def test_clamped_stream_matches_scalar(self, fhd_config):
         frames = AnalyticContentModel().frames(FHD, 4, seed=2)
-        scalar = _run(
+        scalar = _scalar(
             fhd_config, ConventionalScheme(), frames, 30.0,
-            max_windows=40, engine="scalar",
+            max_windows=40,
         )
         batch = _run(
             fhd_config, ConventionalScheme(), frames, 30.0,
-            max_windows=40, engine="batch",
+            max_windows=40,
         )
         assert batch.stats == scalar.stats
         assert batch.stats.windows == 40
@@ -205,13 +196,11 @@ class TestBatchParity:
     def test_stateful_scheme_matches_scalar(self, fhd_config, frames):
         from repro.baselines import FrameBufferCompressionScheme
 
-        scalar = _run(
+        scalar = _scalar(
             fhd_config, FrameBufferCompressionScheme(), frames, 30.0,
-            engine="scalar",
         )
         batch = _run(
             fhd_config, FrameBufferCompressionScheme(), frames, 30.0,
-            engine="batch",
         )
         _assert_same_aggregates(scalar, batch)
         _assert_same_power(scalar, batch)
@@ -224,7 +213,7 @@ class TestBatchParity:
         before = _counter("sim.collapse.miss")
         run = _run(
             fhd_config, ConventionalScheme(), source, 30.0,
-            max_windows=24, engine="batch",
+            max_windows=24,
         )
         fresh = _counter("sim.collapse.miss") - before
         # One new-frame plan + at most a couple of repeat plans; the
@@ -239,7 +228,6 @@ class TestBatchCounters:
         before_miss = _counter("sim.collapse.miss")
         run = _run(
             fhd_config, ConventionalScheme(), frames, 15.0,
-            engine="batch",
         )
         hits = _counter("sim.collapse.hit") - before_hit
         misses = _counter("sim.collapse.miss") - before_miss
@@ -253,7 +241,6 @@ class TestBatchCounters:
         before = histogram.count
         _run(
             fhd_config, ConventionalScheme(), frames, 15.0,
-            engine="batch",
         )
         assert histogram.count > before
 
@@ -264,7 +251,6 @@ class TestBatchCounters:
         before_miss = _counter("sim.plan_cache.miss")
         _run(
             fhd_config, ConventionalScheme(), frames, 30.0,
-            engine="batch",
         )
         assert _counter("sim.plan_cache.hit") == before_hit
         assert _counter("sim.plan_cache.miss") == before_miss
@@ -355,10 +341,9 @@ class TestPlanCache:
         )
         assert plan_cache.stats.plan_hits > 0
         install_run_memo(None)
-        scalar = _run(
+        scalar = _scalar(
             fhd_config, ConventionalScheme(),
             RepeatingFrameSource(frame, 24), 30.0, max_windows=48,
-            engine="scalar",
         )
         _assert_same_aggregates(scalar, warm)
         _assert_same_power(scalar, warm)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import FHD, skylake_tablet
 from repro.core import BurstLinkScheme
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
@@ -32,6 +32,15 @@ def frames():
 
 def _counter(name):
     return obs_metrics.registry().counter(name, "").value
+
+
+def _fresh(config, scheme, frames, fps, **kwargs):
+    """``run()`` with every window planned fresh: a traced run takes
+    the window-by-window walker with collapsing off."""
+    with obs_trace.tracing():
+        return FrameWindowSimulator(config, scheme).run(
+            frames, fps, **kwargs
+        )
 
 
 def _assert_same_aggregates(reference, other, rel=1e-9):
@@ -133,22 +142,18 @@ class TestRetainModes:
 
 class TestCollapse:
     def test_collapse_matches_fresh_plans(self, fhd_config, frames):
-        fresh = FrameWindowSimulator(
-            fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, collapse=False)
+        fresh = _fresh(fhd_config, ConventionalScheme(), frames, 30.0)
         collapsed = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, collapse=True)
+        ).run(frames, 30.0)
         _assert_same_aggregates(fresh, collapsed)
         _assert_same_power(fresh, collapsed)
 
     def test_collapse_matches_for_burstlink(self, fhd_config, frames):
         config = fhd_config.with_drfb()
-        fresh = FrameWindowSimulator(config, BurstLinkScheme()).run(
-            frames, 30.0, collapse=False
-        )
+        fresh = _fresh(config, BurstLinkScheme(), frames, 30.0)
         collapsed = FrameWindowSimulator(config, BurstLinkScheme()).run(
-            frames, 30.0, collapse=True
+            frames, 30.0
         )
         _assert_same_aggregates(fresh, collapsed)
         _assert_same_power(fresh, collapsed)
@@ -160,18 +165,21 @@ class TestCollapse:
         # collapsible back-to-back windows.
         run = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 15.0, collapse=True)
+        ).run(frames, 15.0)
         hits = _counter("sim.collapse.hit") - before_hit
         misses = _counter("sim.collapse.miss") - before_miss
         assert hits + misses == run.stats.windows
         assert hits > 0
 
     def test_collapse_off_leaves_counters(self, fhd_config, frames):
+        """A scheme without ``plan_key()`` never collapses."""
+        from repro.core import WindowedVideoScheme
+
         before_hit = _counter("sim.collapse.hit")
         before_miss = _counter("sim.collapse.miss")
-        FrameWindowSimulator(fhd_config, ConventionalScheme()).run(
-            frames, 15.0, collapse=False
-        )
+        FrameWindowSimulator(
+            fhd_config.with_drfb(), WindowedVideoScheme()
+        ).run(frames, 15.0)
         assert _counter("sim.collapse.hit") == before_hit
         assert _counter("sim.collapse.miss") == before_miss
 
@@ -181,12 +189,12 @@ class TestCollapse:
         with obs_trace.tracing():
             traced = FrameWindowSimulator(
                 fhd_config, ConventionalScheme()
-            ).run(frames, 15.0, collapse=True)
+            ).run(frames, 15.0)
         assert _counter("sim.collapse.hit") == before_hit
         assert _counter("sim.collapse.miss") == before_miss
         untraced = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 15.0, collapse=True)
+        ).run(frames, 15.0)
         _assert_same_aggregates(traced, untraced)
 
 
@@ -200,7 +208,7 @@ class TestExhaustedStreamClamp:
         # for 40 and the last 32 re-present frame 3.
         run = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, max_windows=40, collapse=False)
+        ).run(frames, 30.0, max_windows=40)
         assert run.stats.windows == 40
         assert run.stats.new_frame_windows == 4
         assert run.stats.repeat_windows == 36
@@ -209,7 +217,7 @@ class TestExhaustedStreamClamp:
         frames = AnalyticContentModel().frames(FHD, 4, seed=2)
         run = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, max_windows=40, collapse=False)
+        ).run(frames, 30.0, max_windows=40)
         # Only 4 frames were ever presented over 40/60 s.
         assert run.effective_fps == pytest.approx(4 / run.duration)
         assert run.effective_fps < 30.0
@@ -220,19 +228,18 @@ class TestExhaustedStreamClamp:
             fhd_config, ConventionalScheme()
         ).run(
             frames, 30.0, max_windows=40, retain="summary",
-            collapse=False,
         )
         assert run.summary.window_counts["new_frame"] == 4
         assert run.summary.window_counts["repeat"] == 36
 
     def test_clamp_identical_with_collapse(self, fhd_config):
         frames = AnalyticContentModel().frames(FHD, 4, seed=2)
-        fresh = FrameWindowSimulator(
-            fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, max_windows=40, collapse=False)
+        fresh = _fresh(
+            fhd_config, ConventionalScheme(), frames, 30.0, max_windows=40
+        )
         collapsed = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, max_windows=40, collapse=True)
+        ).run(frames, 30.0, max_windows=40)
         _assert_same_aggregates(fresh, collapsed)
 
 
@@ -254,6 +261,22 @@ class _EndlessSource:
         raise TypeError("endless streams are not fingerprintable")
 
 
+class _Lengthless:
+    """A length-less view of ``frames`` that records what was pulled."""
+
+    def __init__(self, frames):
+        self.frames = frames
+        self.pulled = []
+
+    def __iter__(self):
+        for frame in self.frames:
+            self.pulled.append(frame.index)
+            yield frame
+
+    def fingerprint_token(self):
+        raise TypeError("not fingerprintable")
+
+
 class TestLengthlessSources:
     def test_requires_max_windows(self, fhd_config):
         frame = AnalyticContentModel().frames(FHD, 1)[0]
@@ -271,13 +294,87 @@ class TestLengthlessSources:
         assert run.stats.new_frame_windows == 3
 
 
+class TestWindowByWindowWalker:
+    """``run()``'s fallback walker pulls frames lazily and walks VR."""
+
+    def test_generator_source_pulled_lazily(self, fhd_config):
+        frame = AnalyticContentModel().frames(FHD, 1)[0]
+        source = _Lengthless(_EndlessSource(frame))
+        with obs_trace.tracing():
+            run = FrameWindowSimulator(
+                fhd_config, ConventionalScheme()
+            ).run(source, 30.0, max_windows=6)
+        assert run.stats.new_frame_windows == 3
+        assert source.pulled == [0, 1, 2]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_vr_work_exhausted(self, traced):
+        from repro.core import BurstLinkScheme
+        from repro.workloads.vr import VR_WORKLOADS, build_vr_setup
+
+        setup = build_vr_setup(VR_WORKLOADS["Elephant"], frame_count=4)
+        simulator = FrameWindowSimulator(
+            setup.config.with_drfb(), BurstLinkScheme()
+        )
+        with pytest.raises(SimulationError, match="vr_work exhausted"):
+            if traced:
+                with obs_trace.tracing():
+                    simulator.run(
+                        _Lengthless(setup.frames), 30.0,
+                        vr_work=setup.vr_work[:2], max_windows=8,
+                    )
+            else:
+                simulator.run(
+                    _Lengthless(setup.frames), 30.0,
+                    vr_work=setup.vr_work[:2], max_windows=8,
+                )
+
+
+class TestMaxWindowsValidation:
+    """Both walkers reject the same malformed ``max_windows``."""
+
+    BAD = [-3, -1, 2.5, "7", True]
+
+    @pytest.mark.parametrize("max_windows", BAD, ids=repr)
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_run_rejects(self, fhd_config, frames, max_windows, traced):
+        simulator = FrameWindowSimulator(fhd_config, ConventionalScheme())
+        with pytest.raises(ConfigurationError):
+            if traced:
+                with obs_trace.tracing():
+                    simulator.run(frames, 30.0, max_windows=max_windows)
+            else:
+                simulator.run(frames, 30.0, max_windows=max_windows)
+
+    @pytest.mark.parametrize("max_windows", BAD, ids=repr)
+    def test_streaming_rejects(self, fhd_config, max_windows):
+        from repro.pipeline import StreamingSimulator
+
+        with pytest.raises(ConfigurationError):
+            StreamingSimulator(
+                fhd_config, ConventionalScheme(), 30.0,
+                max_windows=max_windows,
+            )
+
+    def test_zero_windows_agree(self, fhd_config, frames):
+        untraced = FrameWindowSimulator(
+            fhd_config, ConventionalScheme()
+        ).run(frames, 30.0, max_windows=0)
+        traced = _fresh(
+            fhd_config, ConventionalScheme(), frames, 30.0, max_windows=0
+        )
+        assert untraced.stats == traced.stats
+        assert untraced.stats.windows == 0
+
+
 class TestStreamingSimulator:
     """The incremental (push-driven) walker behind ``repro serve``."""
 
     def _offline(self, config, scheme, frames, **kw):
-        return FrameWindowSimulator(config, scheme).run(
-            frames, 30.0, retain="summary", engine="scalar", **kw
-        )
+        """The same stream walked offline, window by window (at 30 FPS
+        on 60 Hz no two repeat windows are adjacent, so collapsing never
+        fires and the traced walk is the untraced one)."""
+        return _fresh(config, scheme, frames, 30.0, retain="summary", **kw)
 
     def _payload(self, run):
         import json

@@ -1,5 +1,7 @@
 """Property-based equivalence: the batch window engine must be
-indistinguishable from the scalar loop for every scheme, cadence, and
+indistinguishable from the window-by-window reference walker
+(:class:`~repro.pipeline.sim.StreamingSimulator`, pinned against
+``tests/golden/walker_oracle.json``) for every scheme, cadence, and
 retain mode — energies to 1e-9 relative, identical stats and window
 kinds — and vectorized plan pricing must match the scalar pricer."""
 
@@ -14,7 +16,7 @@ from repro.core import (
     FrameBurstingScheme,
 )
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
-from repro.pipeline.sim import install_run_memo
+from repro.pipeline.sim import StreamingSimulator, install_run_memo
 from repro.power import PowerModel
 from repro.video.source import AnalyticContentModel
 
@@ -54,11 +56,13 @@ def test_batch_matches_scalar(
         config = config.with_drfb()
     frames = AnalyticContentModel().frames(resolution, count, seed=seed)
 
-    scalar = FrameWindowSimulator(config, scheme_cls()).run(
-        frames, fps, retain=retain, engine="scalar"
-    )
+    walker = StreamingSimulator(config, scheme_cls(), fps, retain=retain)
+    for frame in frames:
+        walker.push(frame)
+    walker.end()
+    scalar = walker.result()
     batch = FrameWindowSimulator(config, scheme_cls()).run(
-        frames, fps, retain=retain, engine="batch"
+        frames, fps, retain=retain
     )
 
     assert batch.stats == scalar.stats
@@ -108,7 +112,7 @@ def test_price_plan_matrix_matches_scalar_pricer(
     config = skylake_tablet(resolution)
     frames = AnalyticContentModel().frames(resolution, count, seed=seed)
     run = FrameWindowSimulator(config, ConventionalScheme()).run(
-        frames, fps, retain="summary", engine="scalar"
+        frames, fps, retain="summary"
     )
     model = PowerModel()
     cls_keys = list(run.summary.buckets)

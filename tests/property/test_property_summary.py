@@ -21,6 +21,7 @@ from repro.core import (
     FrameBufferBypassScheme,
     FrameBurstingScheme,
 )
+from repro.obs import trace as obs_trace
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
 from repro.pipeline.builder import TimelineBuilder
 from repro.pipeline.sim import install_run_memo
@@ -153,12 +154,9 @@ def test_collapse_is_invisible(spec, frame_count, fps, seed):
     if needs_drfb:
         config = config.with_drfb()
     frames = AnalyticContentModel().frames(FHD, frame_count, seed=seed)
-    fresh = FrameWindowSimulator(config, factory()).run(
-        frames, fps, collapse=False
-    )
-    collapsed = FrameWindowSimulator(config, factory()).run(
-        frames, fps, collapse=True
-    )
+    with obs_trace.tracing():  # a traced run plans every window fresh
+        fresh = FrameWindowSimulator(config, factory()).run(frames, fps)
+    collapsed = FrameWindowSimulator(config, factory()).run(frames, fps)
     assert collapsed.stats == fresh.stats
     reference = PowerModel().report(fresh)
     replayed = PowerModel().report(collapsed)
