@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from ..analysis.battery import BatteryLife
-from ..analysis.energy import compare_schemes
-from ..config import Resolution, skylake_tablet
+from ..config import Resolution, SystemConfig, skylake_tablet
 from ..errors import SimulationError
+from ..pipeline.sim import DisplayScheme, FrameWindowSimulator, RunResult
 from ..power.model import PowerModel
 from ..video.source import AnalyticFrameSource, AnalyticContentModel
 from ..workloads.oled import OledVideoWorkload, oled_video_run
@@ -114,43 +114,39 @@ def sample_device(spec: FleetSpec, index: int) -> DeviceSample:
     )
 
 
-def _video_reports(
-    spec: FleetSpec, sample: DeviceSample
-) -> dict[str, float]:
-    """Per-scheme average power (mW) for a streaming video session."""
-    config = skylake_tablet(sample.resolution, sample.refresh_hz)
-    model = AnalyticContentModel(
-        content=sample.workload.content_class
-    )
-    source = AnalyticFrameSource(
-        model,
-        sample.resolution,
-        sample.workload.frames,
-        seed=sample.content_seed,
-    )
-    baseline_factory, _ = SCHEMES[spec.baseline]
-    comparison = compare_schemes(
-        config,
-        source,
-        sample.fps,
-        schemes={
-            label: (SCHEMES[label][0](), SCHEMES[label][1])
-            for label in spec.schemes
-        },
-        baseline=baseline_factory(),
-        retain="summary",
-    )
-    power = {spec.baseline: comparison.baseline.average_power_mw}
-    for label, report in comparison.candidates.items():
-        power[label] = report.average_power_mw
-    return power
+@dataclass(frozen=True)
+class _VideoSession:
+    """A streaming video session: the platform and its frame stream."""
+
+    config: SystemConfig
+    source: AnalyticFrameSource
+    fps: float
 
 
-def _standby_reports(
-    spec: FleetSpec, sample: DeviceSample
-) -> dict[str, float]:
-    """Per-scheme average power (mW) for an ambient-standby session."""
-    workload = AmbientStandbyWorkload(
+def _video_session(sample: DeviceSample) -> _VideoSession:
+    return _VideoSession(
+        config=skylake_tablet(sample.resolution, sample.refresh_hz),
+        source=AnalyticFrameSource(
+            AnalyticContentModel(content=sample.workload.content_class),
+            sample.resolution,
+            sample.workload.frames,
+            seed=sample.content_seed,
+        ),
+        fps=sample.fps,
+    )
+
+
+def _video_run(
+    session: _VideoSession, scheme: DisplayScheme, with_drfb: bool
+) -> RunResult:
+    config = session.config.with_drfb() if with_drfb else session.config
+    return FrameWindowSimulator(config, scheme).run(
+        session.source, session.fps, retain="summary"
+    )
+
+
+def _standby_session(sample: DeviceSample) -> AmbientStandbyWorkload:
+    return AmbientStandbyWorkload(
         resolution=sample.resolution,
         refresh_hz=sample.refresh_hz,
         update_fps=sample.workload.update_fps,
@@ -158,25 +154,10 @@ def _standby_reports(
         content=sample.workload.content_class,
         seed=sample.content_seed,
     )
-    model = PowerModel()
-    power: dict[str, float] = {}
-    for label in spec.scheme_labels():
-        factory, needs_drfb = SCHEMES[label]
-        run = ambient_standby_run(
-            workload,
-            factory(),
-            with_drfb=needs_drfb,
-            retain="summary",
-        )
-        power[label] = model.report(run).average_power_mw
-    return power
 
 
-def _oled_reports(
-    spec: FleetSpec, sample: DeviceSample
-) -> dict[str, float]:
-    """Per-scheme average power (mW) for an OLED video session."""
-    workload = OledVideoWorkload(
+def _oled_session(sample: DeviceSample) -> OledVideoWorkload:
+    return OledVideoWorkload(
         resolution=sample.resolution,
         fps=sample.fps,
         refresh_hz=sample.refresh_hz,
@@ -185,22 +166,10 @@ def _oled_reports(
         frame_count=sample.workload.frames,
         seed=sample.content_seed,
     )
-    model = PowerModel()
-    power: dict[str, float] = {}
-    for label in spec.scheme_labels():
-        factory, needs_drfb = SCHEMES[label]
-        run = oled_video_run(
-            workload, factory(), with_drfb=needs_drfb
-        )
-        power[label] = model.report(run).average_power_mw
-    return power
 
 
-def _netstream_reports(
-    spec: FleetSpec, sample: DeviceSample
-) -> dict[str, float]:
-    """Per-scheme average power (mW) for an ABR-streamed session."""
-    workload = NetworkStreamWorkload(
+def _netstream_session(sample: DeviceSample) -> NetworkStreamWorkload:
+    return NetworkStreamWorkload(
         resolution=sample.resolution,
         fps=sample.fps,
         refresh_hz=sample.refresh_hz,
@@ -209,14 +178,31 @@ def _netstream_reports(
         frame_count=sample.workload.frames,
         seed=sample.content_seed,
     )
+
+
+#: Workload kind -> (build the device's session, run it under a scheme).
+_SESSIONS: dict[str, tuple[Callable, Callable]] = {
+    "video": (_video_session, _video_run),
+    "standby": (_standby_session, ambient_standby_run),
+    "oled": (_oled_session, oled_video_run),
+    "netstream": (_netstream_session, network_stream_run),
+}
+
+
+def _scheme_power(
+    spec: FleetSpec, sample: DeviceSample
+) -> dict[str, float]:
+    """Per-scheme average power (mW) for the device's session, baseline
+    first."""
+    build, run = _SESSIONS[sample.workload.kind]
+    session = build(sample)
     model = PowerModel()
     power: dict[str, float] = {}
     for label in spec.scheme_labels():
         factory, needs_drfb = SCHEMES[label]
-        run = network_stream_run(
-            workload, factory(), with_drfb=needs_drfb
-        )
-        power[label] = model.report(run).average_power_mw
+        power[label] = model.report(
+            run(session, factory(), with_drfb=needs_drfb)
+        ).average_power_mw
     return power
 
 
@@ -225,14 +211,7 @@ def simulate_device(
 ) -> dict[str, Any]:
     """Simulate one device under every scheme; returns its compact
     result record (a JSON-safe dict — the aggregate's input unit)."""
-    if sample.workload.kind == "video":
-        power = _video_reports(spec, sample)
-    elif sample.workload.kind == "oled":
-        power = _oled_reports(spec, sample)
-    elif sample.workload.kind == "netstream":
-        power = _netstream_reports(spec, sample)
-    else:
-        power = _standby_reports(spec, sample)
+    power = _scheme_power(spec, sample)
     battery = {
         label: BatteryLife(spec.battery_wh, mw).hours
         for label, mw in power.items()

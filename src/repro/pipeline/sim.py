@@ -319,9 +319,8 @@ class RunResult:
 
     ``timeline`` is ``None`` for ``retain="summary"`` runs; ``summary``
     is always populated by the simulator.  Aggregate accessors
-    (duration, residencies, byte totals) read whichever representation
-    is present, so downstream consumers need not care about the retain
-    mode.
+    (duration, residencies, byte totals) read the summary, so they
+    return the same values whatever the run retains.
     """
 
     scheme: str
@@ -338,12 +337,12 @@ class RunResult:
 
     @property
     def aggregate(self) -> "Timeline | TimelineSummary":
-        """Whichever run-level aggregate is retained (the full timeline
-        when present, else the online summary)."""
-        if self.timeline is not None:
-            return self.timeline
+        """The run-level aggregate: the online summary, or the full
+        timeline for a run built without one."""
         if self.summary is not None:
             return self.summary
+        if self.timeline is not None:
+            return self.timeline
         raise SimulationError(
             "run retains neither a timeline nor a summary"
         )

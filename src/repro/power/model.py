@@ -6,12 +6,17 @@ The paper computes average system power as::
 
 i.e. per-C-state power weighted by residency, plus the energy of state
 entry/exit excursions.  This module evaluates exactly that — but
-bottom-up: every timeline segment's power is composed from the calibrated
+bottom-up: each segment class's energy is composed from the calibrated
 component library (SoC floor + active IPs + eDP rate + panel + DRAM
 background/operating + platform devices), and the per-state powers
 ``P_Ci`` of a Table 2-style report emerge as energy-weighted averages.
 Excursion segments carry the library's ``transition_extra`` on top of the
 shallower state's floor — the ``P_en/P_ex`` terms.
+
+The model is linear in per-class quantities, so every report is one
+matrix product of a run summary's class quantities with per-class
+coefficient rows, which a process-wide table computes once per
+(registry, library, extras, class, panel).
 """
 
 from __future__ import annotations
@@ -167,8 +172,46 @@ class EnergyReport:
         )
 
 
+@dataclass
+class _CoefficientEntry:
+    """The pricing coefficients of one (registry, library, extras).
+
+    Holds strong references to the registry and library it was keyed
+    by: the table keys them by identity (a library holds dicts, so it
+    is unhashable), and a live reference keeps the id from ever being
+    reused by a different object.
+    """
+
+    registry: PowerTermRegistry
+    library: ComponentPowerLibrary
+    #: ``(class, panel)`` -> ``(quantities, components)`` coefficients.
+    rows: dict[tuple[SegmentClass, PanelConfig], np.ndarray]
+
+
+#: Process-wide coefficient table keyed by ``(id(registry), id(library),
+#: extras)``.  Every :class:`PowerModel` built over the same registry,
+#: library and extras shares one entry, so each ``(class, panel)`` is
+#: probed once per process, however many models and reports follow.
+_COEFFICIENT_TABLE: dict[tuple, _CoefficientEntry] = {}
+
+
+def _coefficient_rows(
+    registry: PowerTermRegistry,
+    library: ComponentPowerLibrary,
+    extras: PlatformExtras,
+) -> dict[tuple[SegmentClass, PanelConfig], np.ndarray]:
+    """The shared coefficient rows for one pricing configuration."""
+    key = (id(registry), id(library), extras)
+    entry = _COEFFICIENT_TABLE.get(key)
+    if entry is None:
+        entry = _CoefficientEntry(registry=registry, library=library,
+                                  rows={})
+        _COEFFICIENT_TABLE[key] = entry
+    return entry.rows
+
+
 class PowerModel:
-    """Evaluates the analytical model over simulated timelines."""
+    """Evaluates the analytical model over simulated runs."""
 
     def __init__(
         self,
@@ -186,10 +229,12 @@ class PowerModel:
         self._context = TermContext(
             library=self.library, extras=self.extras
         )
-        #: Per-(class, panel) pricing coefficients for the vectorized
-        #: path (see :meth:`price_plan_matrix`).  Keyed per instance:
-        #: library, extras, and registry are fixed at construction.
-        self._coefficients: dict[tuple, np.ndarray] = {}
+        #: Per-(class, panel) pricing coefficients (see
+        #: :meth:`price_plan_matrix`), shared process-wide with every
+        #: model over the same registry, library and extras.
+        self._coefficients = _coefficient_rows(
+            self.registry, self.library, self.extras
+        )
 
     # -- per-segment composition -------------------------------------------------
 
@@ -221,9 +266,9 @@ class PowerModel:
         Every term's energy is either constant-power over a segment
         class (charged as power × accumulated seconds) or linear in a
         quantity whose time integral the bucket carries exactly (eDP
-        payload bytes, DRAM read/write bytes, APL-seconds) — so
-        summary-mode reports equal timeline-mode reports up to float
-        re-association.
+        payload bytes, DRAM read/write bytes, APL-seconds) — which is
+        what lets :meth:`_class_coefficients` recover a class's
+        coefficient rows by probing with unit quantities.
         """
         context = self._context
         return {
@@ -242,25 +287,20 @@ class PowerModel:
         """The ``(quantities, components)`` pricing coefficients of one
         segment class: every term's energy is linear (through the
         origin) in the quantity columns, so probing with unit
-        quantities recovers the exact coefficient rows.  Cached per
-        ``(class, panel)`` — the batch engine prices the same handful
-        of classes across thousands of reports."""
+        quantities recovers the exact coefficient rows — one
+        :meth:`class_component_energies` call per quantity column.
+        Cached per ``(class, panel)`` in the process-wide table."""
         cache_key = (cls_key, panel)
         coefficients = self._coefficients.get(cache_key)
         if coefficients is None:
-            probes = tuple(
-                ClassTotals(**{column: 1.0})
-                for column in self.QUANTITY_COLUMNS
-            )
             coefficients = np.array(
                 [
-                    [
+                    list(
                         self.class_component_energies(
-                            cls_key, probe, panel
-                        )[key]
-                        for key in self.registry.keys
-                    ]
-                    for probe in probes
+                            cls_key, ClassTotals(**{column: 1.0}), panel
+                        ).values()
+                    )
+                    for column in self.QUANTITY_COLUMNS
                 ]
             )
             self._coefficients[cache_key] = coefficients
@@ -279,8 +319,8 @@ class PowerModel:
         :meth:`repro.pipeline.batch.PlanMatrix.quantities`).  Returns
         the ``(classes, components)`` energy matrix in mJ, equal to
         calling :meth:`class_component_energies` per class up to float
-        re-association — the batch-engine backbone behind summary
-        reports.
+        re-association.  Every report, traced or not, prices through
+        here.
         """
         columns = len(self.QUANTITY_COLUMNS)
         quantities = np.asarray(quantities, dtype=float)
@@ -302,15 +342,16 @@ class PowerModel:
     # -- run-level evaluation ------------------------------------------------------
 
     def report(self, run: RunResult) -> EnergyReport:
-        """Evaluate the model over a simulated run (the full timeline
-        when retained, otherwise the online summary)."""
-        if run.timeline is not None:
-            return self.report_timeline(
-                run.timeline, run.config.panel, scheme=run.scheme
-            )
+        """Evaluate the model over a simulated run's online summary
+        (the simulator always builds one, whatever the run retains, so
+        full- and summary-retention runs price identically)."""
         if run.summary is not None:
             return self.report_summary(
                 run.summary, run.config.panel, scheme=run.scheme
+            )
+        if run.timeline is not None:
+            return self.report_timeline(
+                run.timeline, run.config.panel, scheme=run.scheme
             )
         raise SimulationError(
             "run retains neither a timeline nor a summary"
@@ -324,13 +365,17 @@ class PowerModel:
     ) -> EnergyReport:
         """Evaluate the model over an online timeline summary.
 
-        Emits the same trace events and metrics as
-        :meth:`report_timeline` and produces the same
-        :class:`EnergyReport` quantities (to float re-association) in
-        O(segment classes) work instead of O(segments).
+        Prices every segment class in one :meth:`price_plan_matrix`
+        pass — O(segment classes) work.  An active tracer changes
+        nothing about the arithmetic; it only records the
+        ``power.report`` span and its ``power.component`` /
+        ``power.state`` events.
         """
         if not summary.buckets:
             raise SimulationError("cannot evaluate an empty summary")
+        duration = summary.duration
+        if duration <= 0:
+            raise SimulationError("summary covers no time")
         tracer = obs_trace.active()
         report_span = None
         if tracer is not None:
@@ -340,66 +385,37 @@ class PowerModel:
                 scheme=scheme,
                 segments=summary.segment_count,
             )
+        cls_keys = list(summary.buckets)
+        quantities = np.array(
+            [
+                [
+                    totals.seconds,
+                    totals.dram_read_bytes,
+                    totals.dram_write_bytes,
+                    totals.edp_bytes,
+                    totals.apl_seconds,
+                ]
+                for totals in summary.buckets.values()
+            ]
+        )
+        matrix = self.price_plan_matrix(cls_keys, quantities, panel)
+        by_component = dict(
+            zip(self.registry.keys, matrix.sum(axis=0).tolist())
+        )
         state_energy: dict[PackageCState, float] = {}
         state_seconds: dict[PackageCState, float] = {}
         transition_energy = 0.0
-        if tracer is None:
-            # Vectorized pricing: one einsum over cached per-class
-            # coefficients.  Only taken untraced — the scalar loop below
-            # is what golden traces pinned byte-for-byte.
-            cls_keys = list(summary.buckets)
-            quantities = np.array(
-                [
-                    [
-                        totals.seconds,
-                        totals.dram_read_bytes,
-                        totals.dram_write_bytes,
-                        totals.edp_bytes,
-                        totals.apl_seconds,
-                    ]
-                    for totals in summary.buckets.values()
-                ]
-            )
-            matrix = self.price_plan_matrix(cls_keys, quantities, panel)
-            by_component = dict(
-                zip(self.registry.keys, matrix.sum(axis=0).tolist())
-            )
-            class_energies = matrix.sum(axis=1)
-            for slot, cls_key in enumerate(cls_keys):
-                class_energy = float(class_energies[slot])
-                state = cls_key.state.reporting_state
-                state_energy[state] = (
-                    state_energy.get(state, 0.0) + class_energy
-                )
-                state_seconds[state] = (
-                    state_seconds.get(state, 0.0)
-                    + float(quantities[slot, 0])
-                )
-                if cls_key.transition:
-                    transition_energy += class_energy
-        else:
-            by_component = self.registry.zeros()
-            for cls_key, totals in summary.buckets.items():
-                energies = self.class_component_energies(
-                    cls_key, totals, panel
-                )
-                class_energy = 0.0
-                for key, energy in energies.items():
-                    by_component[key] += energy
-                    class_energy += energy
-                state = cls_key.state.reporting_state
-                state_energy[state] = (
-                    state_energy.get(state, 0.0) + class_energy
-                )
-                state_seconds[state] = (
-                    state_seconds.get(state, 0.0) + totals.seconds
-                )
-                if cls_key.transition:
-                    transition_energy += class_energy
+        for cls_key, class_energy, seconds in zip(
+            cls_keys,
+            matrix.sum(axis=1).tolist(),
+            quantities[:, 0].tolist(),
+        ):
+            state = cls_key.state.reporting_state
+            state_energy[state] = state_energy.get(state, 0.0) + class_energy
+            state_seconds[state] = state_seconds.get(state, 0.0) + seconds
+            if cls_key.transition:
+                transition_energy += class_energy
         total = sum(by_component.values())
-        duration = summary.duration
-        if duration <= 0:
-            raise SimulationError("summary covers no time")
         by_state = {
             state: CStateSummary(
                 state=state,
@@ -460,94 +476,15 @@ class PowerModel:
         panel: PanelConfig,
         scheme: str = "",
     ) -> EnergyReport:
-        """Evaluate the model over a bare timeline."""
+        """Evaluate the model over a bare timeline (one that no
+        simulator summarised, e.g. a standby or browsing trace): fold
+        it with :meth:`TimelineSummary.from_timeline` and price the
+        summary through :meth:`report_summary`."""
         if not timeline.segments:
             raise SimulationError("cannot evaluate an empty timeline")
-        tracer = obs_trace.active()
-        report_span = None
-        if tracer is not None:
-            report_span = tracer.begin_span(
-                "power.report",
-                t=timeline.start,
-                scheme=scheme,
-                segments=len(timeline),
-            )
-        by_component = self.registry.zeros()
-        state_energy: dict[PackageCState, float] = {}
-        state_seconds: dict[PackageCState, float] = {}
-        transition_energy = 0.0
-        for segment in timeline:
-            powers = self.segment_component_powers(segment, panel)
-            duration = segment.duration
-            segment_energy = 0.0
-            for key, power in powers.items():
-                energy = power * duration
-                by_component[key] += energy
-                segment_energy += energy
-            state = segment.state.reporting_state
-            state_energy[state] = (
-                state_energy.get(state, 0.0) + segment_energy
-            )
-            state_seconds[state] = (
-                state_seconds.get(state, 0.0) + duration
-            )
-            if segment.transition:
-                transition_energy += segment_energy
-        total = sum(by_component.values())
-        duration = timeline.duration
-        by_state = {
-            state: CStateSummary(
-                state=state,
-                residency_s=seconds,
-                residency_fraction=seconds / duration,
-                average_power_mw=(
-                    state_energy[state] / seconds if seconds > 0 else 0.0
-                ),
-                energy_mj=state_energy[state],
-            )
-            for state, seconds in state_seconds.items()
-        }
-        report = EnergyReport(
-            scheme=scheme,
-            duration_s=duration,
-            total_energy_mj=total,
-            by_component_mj=by_component,
-            by_state=by_state,
-            transition_energy_mj=transition_energy,
-            dram_read_bytes=timeline.dram_read_bytes,
-            dram_write_bytes=timeline.dram_write_bytes,
+        return self.report_summary(
+            TimelineSummary.from_timeline(timeline), panel, scheme=scheme
         )
-        registry = obs_metrics.registry()
-        registry.counter(
-            "power.reports", "energy reports evaluated"
-        ).inc()
-        registry.histogram(
-            "power.avg_mw", "run-average system power per report"
-        ).observe(report.average_power_mw)
-        if tracer is not None:
-            for key in self.registry.keys:
-                tracer.event(
-                    "power.component", component=key,
-                    energy_mj=by_component[key],
-                )
-            for row in report.table2_rows():
-                tracer.event(
-                    "power.state",
-                    state=row.state,
-                    residency_s=row.residency_s,
-                    residency_fraction=row.residency_fraction,
-                    average_power_mw=row.average_power_mw,
-                    energy_mj=row.energy_mj,
-                )
-            assert report_span is not None
-            tracer.end_span(
-                report_span,
-                t=timeline.end,
-                total_mj=total,
-                average_mw=report.average_power_mw,
-                transition_mj=transition_energy,
-            )
-        return report
 
     # -- the closed-form check ------------------------------------------------------
 

@@ -14,7 +14,7 @@ artifacts are unchanged.
 A term prices in two equivalent forms:
 
 * ``power(segment, panel, ctx)`` — instantaneous milliwatts during one
-  :class:`~repro.pipeline.timeline.Segment` (the timeline path);
+  :class:`~repro.pipeline.timeline.Segment` (segment inspection);
 * ``energy(cls_key, totals, panel, ctx)`` — millijoules for one summary
   bucket.  Every energy expression must be **linear through the origin**
   in the :data:`QUANTITY_COLUMNS` carried by
@@ -30,8 +30,8 @@ A term prices in two equivalent forms:
 
 Content-aware pricing needs no per-site special cases: a term that reads
 ``totals.apl_seconds`` (like the OLED emission part of the ``panel``
-term) is priced by exactly the same scalar loops and vectorized path as
-every other term.
+term) is priced by exactly the same coefficient probe and matrix
+product as every other term.
 """
 
 from __future__ import annotations

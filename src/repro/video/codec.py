@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from ..errors import CodecError, ConfigurationError
 from ..obs import metrics as obs_metrics
@@ -96,6 +95,8 @@ class Codec:
         re-quantization pass, so each macroblock costs one forward and
         one inverse transform instead of nine single-channel calls.
         """
+        from scipy.fft import dctn, idctn  # deferred: slow to import
+
         coefficients = dctn(residual, axes=(0, 1), norm="ortho")
         quantized = np.round(coefficients / self.config.qstep)
         for channel in range(3):
@@ -157,6 +158,8 @@ class Codec:
         for channel in range(3):
             flat[self._zigzag] = self._read_scan(reader)
             quantized[..., channel] = flat.reshape(size, size)
+        from scipy.fft import idctn  # deferred: slow to import
+
         return idctn(
             quantized * self.config.qstep, axes=(0, 1), norm="ortho"
         )

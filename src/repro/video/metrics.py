@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from ..errors import CodecError
 
@@ -41,6 +40,8 @@ def ssim(reference: np.ndarray, distorted: np.ndarray,
         raise CodecError(
             f"frames smaller than the {window}px SSIM window"
         )
+    from scipy.ndimage import uniform_filter  # deferred: slow to import
+
     total = 0.0
     for channel in range(3):
         x = reference[..., channel].astype(np.float64)

@@ -268,6 +268,9 @@ class TestFleetCrashRecovery:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             env=env,
+            # Its own process group, so the kill below takes the pool
+            # workers down with the parent instead of orphaning them.
+            start_new_session=True,
         )
         # Wait for roughly half the shards to be checkpointed, then
         # SIGKILL — no cleanup, no atexit, mid-write is fair game.
@@ -284,7 +287,7 @@ class TestFleetCrashRecovery:
             time.sleep(0.05)
         else:
             pytest.fail("no shards checkpointed within the deadline")
-        victim.send_signal(signal.SIGKILL)
+        os.killpg(victim.pid, signal.SIGKILL)
         victim.wait(timeout=60)
 
         survivors = set(shards.glob("*.json"))

@@ -176,7 +176,9 @@ def test_collapse_is_invisible(spec, frame_count, fps, seed):
 )
 @settings(max_examples=20, deadline=None)
 def test_retain_mode_is_invisible(spec, retain, seed):
-    """Whatever the run retains, the priced result is the same."""
+    """Whatever the run retains, the priced result is the same — to
+    the bit: reports price the run's summary, which the simulator builds
+    identically in either mode."""
     factory, needs_drfb = spec
     config = skylake_tablet(FHD)
     if needs_drfb:
@@ -189,8 +191,4 @@ def test_retain_mode_is_invisible(spec, retain, seed):
         frames, 30.0, retain=retain
     )
     assert other.stats == full.stats
-    assert PowerModel().report(other).total_energy_mj == (
-        pytest.approx(
-            PowerModel().report(full).total_energy_mj, rel=1e-9
-        )
-    )
+    assert PowerModel().report(other) == PowerModel().report(full)
