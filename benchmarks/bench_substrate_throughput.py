@@ -169,3 +169,32 @@ def test_simulator_streaming_walker_standby(benchmark):
     rate = result.stats.windows / benchmark.stats["mean"]
     print(f"\n{result.stats.windows} windows simulated "
           f"({rate:,.0f} windows/s, streaming walker, ambient standby)")
+
+
+def test_serve_session_stream(benchmark):
+    """One in-process ``repro serve`` session: open, 300 frames in 30
+    ``stream`` chunks of 10, close — the walker plus per-window digest
+    pricing and rolling gauges, without the socket."""
+    from repro.obs.serve import PowerAdvisorService
+
+    service = PowerAdvisorService()
+
+    def run():
+        sid = service.handle(
+            {"op": "open", "scheme": "burstlink", "resolution": "FHD",
+             "fps": 30.0}
+        )["session"]
+        for start in range(0, 300, 10):
+            service.handle(
+                {"op": "stream", "session": sid, "count": 10,
+                 "start": start, "seed": 1}
+            )
+        return service.handle(
+            {"op": "close", "session": sid, "retire": True}
+        )
+
+    final = benchmark(run)
+    windows = final["final"]["stats"]["windows"]
+    rate = windows / benchmark.stats["mean"]
+    print(f"\n{windows} windows served "
+          f"({rate:,.0f} windows/s, in-process serve session)")

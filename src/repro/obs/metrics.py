@@ -15,6 +15,7 @@ Instrument-once, read-anywhere: library code calls
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -156,12 +157,17 @@ class RollingGauge:
     help: str = ""
     window_s: float = 10.0
     samples: deque = field(default_factory=deque)
+    #: The newest timestamp among ``samples`` (-inf when empty).
+    _newest: float = field(
+        default=-math.inf, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ConfigurationError(
                 f"rolling gauge {self.name!r} needs window_s > 0"
             )
+        self._newest = max((t for t, _ in self.samples), default=-math.inf)
 
     def observe(self, t: float, value: float) -> None:
         """Record ``value`` at simulated time ``t`` and evict samples
@@ -172,14 +178,25 @@ class RollingGauge:
         timestamp seen so far.
         """
         self.samples.append((t, value))
+        if t > self._newest:
+            self._newest = t
         self._evict()
 
     def _evict(self) -> None:
-        if not self.samples:
-            return
-        horizon = max(t for t, _ in self.samples) - self.window_s
-        while self.samples and self.samples[0][0] <= horizon:
-            self.samples.popleft()
+        """Pop samples at or behind ``window_s`` before the newest one.
+
+        Amortized O(1): each sample is popped once, and the newest
+        timestamp is a field, not a scan.  The newest sample survives
+        its own eviction (``window_s > 0``) unless every sample goes —
+        a timestamp too large for ``window_s`` to register — so the
+        field stays the maximum of ``samples``.
+        """
+        samples = self.samples
+        horizon = self._newest - self.window_s
+        while samples and samples[0][0] <= horizon:
+            samples.popleft()
+        if not samples:
+            self._newest = -math.inf
 
     @property
     def value(self) -> float:
@@ -217,6 +234,7 @@ class RollingGauge:
             + [(float(t), float(v)) for t, v in state.get("samples", [])]
         )
         self.samples = deque(merged)
+        self._newest = merged[-1][0] if merged else -math.inf
         self._evict()
 
     def render(self) -> str:

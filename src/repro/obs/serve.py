@@ -9,11 +9,14 @@ advisor* service:
   newline-delimited JSON, open a (scheme, resolution, fps) stream, and
   push frames (explicit descriptors or analytic stream chunks).  Each
   session advances a :class:`~repro.pipeline.sim.StreamingSimulator`
-  incrementally — exactly the scalar ``retain="summary"`` code path, so
-  the final cumulative summary is byte-identical to the same stream
-  simulated offline.  Live observation never perturbs the simulation.
+  incrementally — the window-by-window walker offline traced runs
+  take — so the final cumulative summary is byte-identical to the same
+  stream walked offline.  Live observation never perturbs the
+  simulation.  A session's analytic stream is one live generator that
+  successive contiguous chunks resume, so a window costs the same
+  however long the session has run.
 * **Rolling metrics** — per-window digests are priced through the
-  analytical power model and fed into
+  power model's shared coefficient table and fed into
   :class:`~repro.obs.metrics.RollingGauge` series windowed over the
   last N *simulated* seconds: panel/DRAM/eDP/total mW, deep C-state
   residency, effective fps, collapse hit rate — one labelled series
@@ -41,13 +44,16 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import json
 import math
+import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
+from ..config import Resolution
 from ..errors import ConfigurationError, ReproError
 from ..pipeline.sim import StreamingSimulator, StreamingWindow
 from ..pipeline.timeline import TimelineSummary
@@ -55,6 +61,7 @@ from ..power.model import PowerModel
 from ..video.source import (
     AnalyticContentModel,
     ContentClass,
+    FrameDescriptor,
     descriptor_from_payload,
 )
 from . import metrics as obs_metrics
@@ -151,15 +158,22 @@ class _DigestPricer:
     """Prices one-window digests into (panel, dram, edp, total) mJ.
 
     Pricing is a pure read of the digest — it never touches the
-    simulator — and is memoized by digest *object*: collapse hits
-    replay the memo entry's digest object, so a long repeat run prices
-    once.  The digest reference is held alongside the cached price,
-    keeping ``id()`` keys valid for the session's lifetime.
+    simulator — and goes through the power model's shared coefficient
+    table (:meth:`~repro.power.model.PowerModel.price_summary_matrix`),
+    so a class seen by any session or report in this process is never
+    probed again.  Prices are memoized by digest *object*: collapse
+    hits replay the memo entry's digest object, so a long repeat run
+    prices once.  The digest reference is held alongside the cached
+    price, keeping ``id()`` keys valid for the session's lifetime.
     """
 
     def __init__(self, model: PowerModel, panel: Any) -> None:
         self.model = model
         self.panel = panel
+        index = model.registry.keys.index
+        self._panel = index("panel")
+        self._dram = (index("dram_background"), index("dram_traffic"))
+        self._edp = index("edp")
         self._cache: dict[int, tuple[TimelineSummary, tuple]] = {}
 
     def price(
@@ -168,18 +182,17 @@ class _DigestPricer:
         cached = self._cache.get(id(digest))
         if cached is not None:
             return cached[1]  # type: ignore[return-value]
-        panel_mj = dram_mj = edp_mj = total_mj = 0.0
-        for cls_key, totals in digest.buckets.items():
-            energies = self.model.class_component_energies(
-                cls_key, totals, self.panel
-            )
-            panel_mj += energies["panel"]
-            dram_mj += (
-                energies["dram_background"] + energies["dram_traffic"]
-            )
-            edp_mj += energies["edp"]
-            total_mj += sum(energies.values())
-        price = (panel_mj, dram_mj, edp_mj, total_mj)
+        by_component = (
+            self.model.price_summary_matrix(digest, self.panel)
+            .sum(axis=0)
+            .tolist()
+        )
+        price = (
+            by_component[self._panel],
+            by_component[self._dram[0]] + by_component[self._dram[1]],
+            by_component[self._edp],
+            sum(by_component),
+        )
         self._cache[id(digest)] = (digest, price)
         return price
 
@@ -219,6 +232,43 @@ class Session:
     _gauges: dict[str, obs_metrics.RollingGauge] = field(
         default_factory=dict, repr=False
     )
+    #: The live ``stream`` source: its (content, variability, seed,
+    #: resolution) key, the frame generator, and the index of the next
+    #: frame it yields (see :meth:`stream_frames`).
+    _source_key: tuple | None = field(default=None, repr=False)
+    _source: Iterator[FrameDescriptor] | None = field(
+        default=None, repr=False
+    )
+    _source_next: int = field(default=0, repr=False)
+
+    def stream_frames(
+        self, model: AnalyticContentModel, resolution: Resolution,
+        seed: int, start: int, count: int,
+    ) -> Iterator[FrameDescriptor]:
+        """Frames ``start .. start + count - 1`` of ``model``'s stream.
+
+        A chunk that starts where the previous one stopped continues
+        the session's live generator; any other start (a new stream, a
+        rewind or a skip) regenerates from frame 0.  Both make the same
+        RNG draws in the same index order, so the frames are
+        byte-identical to one offline generation.
+        """
+        key = (model.content, model.variability, seed, resolution)
+        if self._source is None or key != self._source_key or (
+            start != self._source_next
+        ):
+            # A session's stream has no set length; it ends with the
+            # session.
+            self._source = model.iter_frames(
+                resolution, sys.maxsize, seed=seed
+            )
+            self._source_key = key
+            # Walk (and drop) the frames before ``start``.
+            next(itertools.islice(self._source, start, start), None)
+            self._source_next = start
+        for frame in itertools.islice(self._source, count):
+            self._source_next += 1
+            yield frame
 
     def _gauge(self, name: str, help_text: str) -> obs_metrics.RollingGauge:
         gauge = self._gauges.get(name)
@@ -393,6 +443,22 @@ def _finite(payload: dict[str, Any], key: str, default: float) -> float:
     return number
 
 
+def _integer(
+    payload: dict[str, Any], key: str, default: int, minimum: int
+) -> int:
+    """``payload[key]`` (or ``default``) as an int >= ``minimum``."""
+    value = payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(
+            f"{key} must be an integer, got {value!r}"
+        )
+    if value < minimum:
+        raise ConfigurationError(
+            f"{key} must be >= {minimum}, got {value}"
+        )
+    return value
+
+
 class PowerAdvisorService:
     """Session bookkeeping and op dispatch for the serve plane.
 
@@ -529,18 +595,19 @@ class PowerAdvisorService:
         """Push a chunk of analytically generated frames.
 
         ``seed``/``start`` let a session extend its stream in chunks
-        while staying byte-identical to one offline generation: the
-        model re-generates ``start + count`` frames and pushes the last
-        ``count`` (one RNG draw per frame in index order, so a re-walk
-        is exact).
+        while staying byte-identical to one offline generation: a chunk
+        continuing where the last one stopped resumes the session's
+        generator, anything else re-walks the stream from frame 0
+        (:meth:`Session.stream_frames`).
         """
         session = self._session(payload)
         from ..cli._helpers import _RESOLUTIONS
 
-        count = int(payload.get("count", 0))
-        if count <= 0:
-            raise ConfigurationError("stream op needs count > 0")
-        start = int(payload.get("start", session.frames_pushed))
+        count = _integer(payload, "count", 0, minimum=1)
+        start = _integer(
+            payload, "start", session.frames_pushed, minimum=0
+        )
+        seed = _integer(payload, "seed", 0, minimum=0)
         content_label = str(payload.get("content", "natural")).upper()
         try:
             content = ContentClass[content_label]
@@ -550,17 +617,14 @@ class PowerAdvisorService:
             ) from None
         model = AnalyticContentModel(
             content=content,
-            variability=float(payload.get("variability", 0.18)),
+            variability=_finite(payload, "variability", 0.18),
         )
         resolution = _RESOLUTIONS[session.resolution_label]
-        seed = int(payload.get("seed", 0))
         windows: list[StreamingWindow] = []
         pushed = 0
-        for frame in model.iter_frames(
-            resolution, start + count, seed=seed
+        for frame in session.stream_frames(
+            model, resolution, seed, start, count
         ):
-            if frame.index < start:
-                continue
             windows.extend(session.sim.push(frame))
             pushed += 1
         session.frames_pushed += pushed

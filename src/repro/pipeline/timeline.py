@@ -308,20 +308,29 @@ class SegmentClass:
 
     @classmethod
     def of(cls, segment: Segment, window_kind: str = "") -> "SegmentClass":
-        """The class of ``segment``."""
-        return cls(
-            state=segment.state,
-            transition=segment.transition,
-            cpu_active=segment.cpu_active,
-            gpu_active=segment.gpu_active,
-            vd_mode=segment.vd_mode,
-            dc_active=segment.dc_active,
-            panel_mode=segment.panel_mode,
-            drfb_active=segment.drfb_active,
-            edp_active=segment.edp_rate > 0,
-            label=segment.label,
-            window_kind=window_kind,
+        """The class of ``segment``.
+
+        Memoized by field values (in declaration order): a run has a
+        handful of classes but folds thousands of segments, so each
+        class is built once per process and then shared.
+        """
+        fields = (
+            segment.state,
+            segment.transition,
+            segment.cpu_active,
+            segment.gpu_active,
+            segment.vd_mode,
+            segment.dc_active,
+            segment.panel_mode,
+            segment.drfb_active,
+            segment.edp_rate > 0,
+            segment.label,
+            window_kind,
         )
+        found = _CLASS_MEMO.get(fields)
+        if found is None:
+            found = _CLASS_MEMO[fields] = cls(*fields)
+        return found
 
     def key_string(self) -> str:
         """A canonical text key for this class (JSON payload keys).
@@ -352,6 +361,12 @@ class SegmentClass:
                 self.window_kind,
             )
         )
+
+
+#: :meth:`SegmentClass.of`'s memo: field values -> the shared class.
+#: Bounded by the distinct classes the schemes emit (labels and window
+#: kinds come from a fixed vocabulary).
+_CLASS_MEMO: dict[tuple, SegmentClass] = {}
 
 
 @dataclass

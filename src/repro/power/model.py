@@ -339,6 +339,29 @@ class PowerModel:
         )
         return np.einsum("kq,kqc->kc", quantities, coefficients)
 
+    def price_summary_matrix(
+        self, summary: TimelineSummary, panel: PanelConfig
+    ) -> np.ndarray:
+        """The ``(classes, components)`` energy matrix (mJ) of a
+        summary's buckets, rows in bucket order, priced through
+        :meth:`price_plan_matrix`."""
+        quantities = np.array(
+            [
+                [
+                    totals.seconds,
+                    totals.dram_read_bytes,
+                    totals.dram_write_bytes,
+                    totals.edp_bytes,
+                    totals.apl_seconds,
+                ]
+                for totals in summary.buckets.values()
+            ],
+            dtype=float,
+        ).reshape(len(summary.buckets), len(self.QUANTITY_COLUMNS))
+        return self.price_plan_matrix(
+            list(summary.buckets), quantities, panel
+        )
+
     # -- run-level evaluation ------------------------------------------------------
 
     def report(self, run: RunResult) -> EnergyReport:
@@ -385,31 +408,17 @@ class PowerModel:
                 scheme=scheme,
                 segments=summary.segment_count,
             )
-        cls_keys = list(summary.buckets)
-        quantities = np.array(
-            [
-                [
-                    totals.seconds,
-                    totals.dram_read_bytes,
-                    totals.dram_write_bytes,
-                    totals.edp_bytes,
-                    totals.apl_seconds,
-                ]
-                for totals in summary.buckets.values()
-            ]
-        )
-        matrix = self.price_plan_matrix(cls_keys, quantities, panel)
+        matrix = self.price_summary_matrix(summary, panel)
         by_component = dict(
             zip(self.registry.keys, matrix.sum(axis=0).tolist())
         )
         state_energy: dict[PackageCState, float] = {}
         state_seconds: dict[PackageCState, float] = {}
         transition_energy = 0.0
-        for cls_key, class_energy, seconds in zip(
-            cls_keys,
-            matrix.sum(axis=1).tolist(),
-            quantities[:, 0].tolist(),
+        for (cls_key, totals), class_energy in zip(
+            summary.buckets.items(), matrix.sum(axis=1).tolist()
         ):
+            seconds = totals.seconds
             state = cls_key.state.reporting_state
             state_energy[state] = state_energy.get(state, 0.0) + class_energy
             state_seconds[state] = state_seconds.get(state, 0.0) + seconds

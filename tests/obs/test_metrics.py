@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
@@ -305,6 +307,52 @@ class TestRollingGauge:
         assert reg.remove("serve.a") is False
         assert reg.remove_prefix("serve.win.mw{") == 2
         assert "serve.a" not in reg.names()
+
+
+class _ScanningGauge(RollingGauge):
+    """The reference: evicts behind a full ``max()`` scan of every
+    retained sample on each update."""
+
+    def _evict(self):
+        if not self.samples:
+            return
+        horizon = max(t for t, _ in self.samples) - self.window_s
+        while self.samples and self.samples[0][0] <= horizon:
+            self.samples.popleft()
+
+
+_timestamps = st.floats(allow_nan=False)
+_samples = st.tuples(_timestamps, st.floats(-1e6, 1e6))
+_merges = st.lists(_samples, max_size=6).map(
+    lambda batch: ("merge", batch)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window_s=st.floats(1e-3, 1e3),
+    steps=st.lists(st.one_of(_samples, _merges), max_size=40),
+)
+def test_rolling_eviction_matches_full_scan(window_s, steps):
+    """Random and out-of-order timestamps (infinities and magnitudes
+    beyond ``window_s``'s resolution included), with merged snapshots
+    interleaved: the tracked-newest gauge keeps exactly the samples,
+    mean and latest reading of the full-scan reference."""
+    gauge = RollingGauge("r", window_s=window_s)
+    reference = _ScanningGauge("r", window_s=window_s)
+    for step in steps:
+        if step[0] == "merge":
+            other = RollingGauge("r", window_s=window_s)
+            for t, v in step[1]:
+                other.observe(t, v)
+            gauge.merge_snapshot(other.snapshot())
+            reference.merge_snapshot(other.snapshot())
+        else:
+            gauge.observe(*step)
+            reference.observe(*step)
+        assert list(gauge.samples) == list(reference.samples)
+        assert gauge.value == reference.value
+        assert gauge.latest == reference.latest
 
 
 class TestLabelled:

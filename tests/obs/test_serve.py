@@ -107,11 +107,51 @@ class TestServiceOps:
         assert next(iter(extra)) in response["error"]
         assert service.sessions == {}
 
-    def test_handler_exception_becomes_session_error(self):
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"count": "x"},
+            {"count": True},
+            {"count": 2.0},
+            {"count": None},
+            {"count": 0},
+            {"start": -5},
+            {"start": "0"},
+            {"start": False},
+            {"start": 1.5},
+            {"seed": -1},
+            {"seed": "7"},
+            {"seed": True},
+            {"seed": 3.0},
+            {"variability": "wide"},
+            {"variability": float("nan")},
+        ],
+        ids=repr,
+    )
+    def test_stream_rejects_malformed_fields(self, extra):
+        service = PowerAdvisorService()
+        _open(service, "s")
+        response = service.handle(
+            {"op": "stream", "session": "s", "count": 10, **extra}
+        )
+        assert response["ok"] is False
+        assert next(iter(extra)) in response["error"]
+        # A typed rejection: no traceback logged, nothing pushed.
+        assert "session.error" not in [
+            r["event"] for r in service.events.recent
+        ]
+        assert service.sessions["s"].frames_pushed == 0
+
+    def test_handler_exception_becomes_session_error(self, monkeypatch):
         service = PowerAdvisorService()
         _open(service, "boom")
+
+        def explode(frame):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(service.sessions["boom"].sim, "push", explode)
         response = service.handle(
-            {"op": "stream", "session": "boom", "count": "many"}
+            {"op": "stream", "session": "boom", "count": 1}
         )
         assert response["ok"] is False
         assert "ValueError" in response["error"]
@@ -169,6 +209,73 @@ class TestServiceOps:
         assert json.dumps(
             chunked["final"]["summary"], sort_keys=True
         ) == json.dumps(oneshot["final"]["summary"], sort_keys=True)
+
+    def test_contiguous_chunks_generate_each_frame_once(
+        self, monkeypatch
+    ):
+        generated = []
+        original = AnalyticContentModel.iter_frames
+
+        def counted(self, *args, **kwargs):
+            for frame in original(self, *args, **kwargs):
+                generated.append(frame.index)
+                yield frame
+
+        monkeypatch.setattr(AnalyticContentModel, "iter_frames", counted)
+        service = PowerAdvisorService()
+        _open(service, "resumed")
+        for start in range(0, 300, 10):
+            assert service.handle(
+                {
+                    "op": "stream",
+                    "session": "resumed",
+                    "count": 10,
+                    "start": start,
+                    "seed": 4,
+                }
+            )["pushed"] == 10
+        assert generated == list(range(300))
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            # A rewind: the second chunk re-streams frames 5..14.
+            ((0, 20), (5, 10), (15, 8)),
+            # A skip: frames 10..19 are never streamed.
+            ((0, 10), (20, 10), (30, 5)),
+        ],
+        ids=["rewind", "skip"],
+    )
+    def test_non_contiguous_start_equals_one_shot(self, chunks):
+        """A chunk that does not continue the live source re-walks the
+        stream, so the session sees exactly the offline frames."""
+        service = PowerAdvisorService()
+        _open(service, "chunked")
+        _open(service, "oneshot")
+        expected = []
+        for start, count in chunks:
+            assert service.handle(
+                {
+                    "op": "stream",
+                    "session": "chunked",
+                    "count": count,
+                    "start": start,
+                    "seed": 9,
+                }
+            )["ok"]
+            expected += _frames(start + count, seed=9)[start:]
+        assert service.handle(
+            {
+                "op": "frames",
+                "session": "oneshot",
+                "frames": [frame.to_payload() for frame in expected],
+            }
+        )["ok"]
+        chunked = service.handle({"op": "close", "session": "chunked"})
+        oneshot = service.handle({"op": "close", "session": "oneshot"})
+        assert json.dumps(
+            chunked["final"], sort_keys=True
+        ) == json.dumps(oneshot["final"], sort_keys=True)
 
     def test_rolling_series_appear_labelled(self):
         service = PowerAdvisorService()

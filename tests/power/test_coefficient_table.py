@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import FHD, skylake_tablet
+from repro.obs import serve
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
 from repro.power.calibration import SKYLAKE_TABLET_POWER
 from repro.power.model import PlatformExtras, PowerModel
@@ -146,6 +147,61 @@ class TestNoStaleHits:
         )
         for key, energy in default.by_component_mj.items():
             assert report.by_component_mj[key] == energy
+
+
+def _loop_price(model, digest, panel):
+    """One window digest priced the way serve did before the shared
+    table: a :meth:`class_component_energies` call per class."""
+    panel_mj = dram_mj = edp_mj = total_mj = 0.0
+    for cls_key, totals in digest.buckets.items():
+        energies = model.class_component_energies(cls_key, totals, panel)
+        panel_mj += energies["panel"]
+        dram_mj += energies["dram_background"] + energies["dram_traffic"]
+        edp_mj += energies["edp"]
+        total_mj += sum(energies.values())
+    return panel_mj, dram_mj, edp_mj, total_mj
+
+
+def _served_prices(monkeypatch, sid):
+    """Stream one 60-frame FHD BurstLink session; returns every
+    ``(pricer, digest, price)`` its rolling series were fed."""
+    priced = []
+    original = serve._DigestPricer.price
+
+    def recorded(self, digest):
+        price = original(self, digest)
+        priced.append((self, digest, price))
+        return price
+
+    monkeypatch.setattr(serve._DigestPricer, "price", recorded)
+    service = serve.PowerAdvisorService()
+    service.handle(
+        {"op": "open", "session": sid, "scheme": "burstlink",
+         "resolution": "FHD", "fps": 30.0}
+    )
+    for start in range(0, 60, 10):
+        assert service.handle(
+            {"op": "stream", "session": sid, "count": 10,
+             "start": start, "seed": 2}
+        )["ok"]
+    service.handle({"op": "close", "session": sid, "retire": True})
+    monkeypatch.setattr(serve._DigestPricer, "price", original)
+    return priced
+
+
+class TestServeDigestPricing:
+    def test_window_prices_match_the_class_loop(self, monkeypatch):
+        priced = _served_prices(monkeypatch, "loop")
+        assert len(priced) > 100
+        for pricer, digest, price in priced:
+            expected = _loop_price(pricer.model, digest, pricer.panel)
+            assert price == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_second_session_probes_nothing(self, monkeypatch, energy_calls):
+        _served_prices(monkeypatch, "first")
+        energy_calls.clear()
+        assert _served_prices(monkeypatch, "second")
+        assert energy_calls == []
 
 
 def test_fleet_probes_each_class_once_per_process():
