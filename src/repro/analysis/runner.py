@@ -59,7 +59,7 @@ from ..config import (
     SystemConfig,
     VideoDecoderConfig,
 )
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from ..obs import dist
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -77,21 +77,15 @@ from ..pipeline.timeline import (
 )
 from ..soc.cstates import PackageCState
 
-#: On-disk payload schema version; bump on any layout change so stale
-#: cache files read as misses instead of garbage.  Format 2 added the
-#: online timeline summary and made the segment list optional
-#: (``retain="summary"`` runs persist without one).  Format 3 added
-#: plan-cache entries (``<key>.plan.json``, ``kind: "plan"``) beside
-#: the run payloads; run payloads themselves are unchanged, so format-2
-#: runs written by older builds still read cleanly.
+#: On-disk payload schema version; bump on any layout change.  Only
+#: this format reads back: an entry written under any other reads as a
+#: miss (and is rewritten by the next store), which is always correct.
+#: Run payloads (``<key>.json``) carry the run's stats, its online
+#: timeline summary and, for ``retain="full"`` runs, its segment list
+#: (``null`` for summary-only runs); plan payloads
+#: (``<key>.plan.json``, ``kind: "plan"``) carry one planned window.
+#: Segment records have 15 positional fields, class records 17.
 _DISK_FORMAT = 4
-
-#: Formats :func:`run_from_payload` accepts.  Format 4 appends the
-#: content-attribute columns (segment ``apl``, class ``apl_seconds``)
-#: to the positional records; older payloads read back with zeros —
-#: exactly the values a content-agnostic run would have written — so a
-#: cache directory written before the bump stays warm.
-_READABLE_FORMATS = frozenset({2, 3, 4})
 
 #: Default number of runs the in-process LRU retains.
 DEFAULT_CAPACITY = 128
@@ -160,7 +154,22 @@ def _segment_to_record(segment: Segment) -> list[Any]:
     ]
 
 
-def _segment_from_record(record: list[Any]) -> Segment:
+#: Positional fields per record (see the ``*_to_record`` writers).
+_SEGMENT_FIELDS = 15
+_CLASS_FIELDS = 17
+
+
+def _fields(record: Any, count: int) -> list[Any]:
+    """``record`` if it is a list of exactly ``count`` fields."""
+    if not isinstance(record, list) or len(record) != count:
+        raise ConfigurationError(
+            f"cache record is not a list of {count} fields"
+        )
+    return record
+
+
+def _segment_from_record(record: Any) -> Segment:
+    record = _fields(record, _SEGMENT_FIELDS)
     return Segment(
         start=record[0],
         end=record[1],
@@ -176,7 +185,7 @@ def _segment_from_record(record: list[Any]) -> Segment:
         dc_active=record[11],
         panel_mode=PanelMode[record[12]],
         drfb_active=record[13],
-        apl=record[14] if len(record) > 14 else 0.0,
+        apl=record[14],
     )
 
 
@@ -205,8 +214,9 @@ def _class_to_record(
 
 
 def _class_from_record(
-    record: list[Any],
+    record: Any,
 ) -> tuple[SegmentClass, ClassTotals]:
+    record = _fields(record, _CLASS_FIELDS)
     cls_key = SegmentClass(
         state=PackageCState[record[0]],
         transition=record[1],
@@ -226,7 +236,7 @@ def _class_from_record(
         dram_read_bytes=record[13],
         dram_write_bytes=record[14],
         edp_bytes=record[15],
-        apl_seconds=record[16] if len(record) > 16 else 0.0,
+        apl_seconds=record[16],
     )
     return cls_key, totals
 
@@ -290,36 +300,61 @@ def run_to_payload(run: RunResult) -> dict[str, Any]:
     }
 
 
-def run_from_payload(payload: dict[str, Any]) -> RunResult:
-    """Rebuild the exact :class:`RunResult` serialized by
-    :func:`run_to_payload`."""
-    if payload.get("format") not in _READABLE_FORMATS:
+@contextmanager
+def _decoding(kind: str, payload: Any) -> Iterator[None]:
+    """Check ``payload`` is a current-format ``kind`` payload, then turn
+    whatever decoding its fields raises (a missing key, a value of the
+    wrong type, shape or magnitude, an unknown enum name, a record that
+    breaks a model invariant) into :class:`ConfigurationError`."""
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"{kind} payload is not a JSON object")
+    if (
+        payload.get("format") != _DISK_FORMAT
+        or payload.get("kind", "run") != kind
+    ):
         raise ConfigurationError(
-            f"unsupported cache payload format {payload.get('format')!r}"
+            f"unsupported {kind} payload format {payload.get('format')!r}"
         )
-    segments = payload["segments"]
-    summary = payload.get("summary")
-    return RunResult(
-        scheme=payload["scheme"],
-        config=_config_from_payload(payload["config"]),
-        timeline=(
-            None
-            if segments is None
-            else Timeline([_segment_from_record(r) for r in segments])
-        ),
-        stats=RunStats(**payload["stats"]),
-        video_fps=payload["video_fps"],
-        summary=(
-            None if summary is None else _summary_from_payload(summary)
-        ),
-        cache_key=payload["cache_key"],
-    )
+    try:
+        yield
+    except (
+        LookupError, TypeError, ValueError, AttributeError,
+        ArithmeticError, ReproError,
+    ) as exc:
+        raise ConfigurationError(
+            f"malformed {kind} payload: {exc!r}"
+        ) from exc
+
+
+def run_from_payload(payload: Any) -> RunResult:
+    """Rebuild the exact :class:`RunResult` serialized by
+    :func:`run_to_payload`; raises :class:`ConfigurationError` for any
+    other value."""
+    with _decoding("run", payload):
+        segments = payload["segments"]
+        summary = payload["summary"]
+        return RunResult(
+            scheme=payload["scheme"],
+            config=_config_from_payload(payload["config"]),
+            timeline=(
+                None
+                if segments is None
+                else Timeline([_segment_from_record(r) for r in segments])
+            ),
+            stats=RunStats(**payload["stats"]),
+            video_fps=payload["video_fps"],
+            summary=(
+                None
+                if summary is None
+                else _summary_from_payload(summary)
+            ),
+            cache_key=payload["cache_key"],
+        )
 
 
 def plan_to_payload(plan: CachedPlan) -> dict[str, Any]:
     """A :class:`~repro.pipeline.batch.CachedPlan` as a JSON-ready
-    dictionary (format 3; ``kind: "plan"`` distinguishes it from run
-    payloads)."""
+    dictionary (``kind: "plan"`` distinguishes it from run payloads)."""
     result = plan.result
     return {
         "format": _DISK_FORMAT,
@@ -338,31 +373,26 @@ def plan_to_payload(plan: CachedPlan) -> dict[str, Any]:
     }
 
 
-def plan_from_payload(payload: dict[str, Any]) -> CachedPlan:
+def plan_from_payload(payload: Any) -> CachedPlan:
     """Rebuild the exact :class:`~repro.pipeline.batch.CachedPlan`
-    serialized by :func:`plan_to_payload`."""
-    if (
-        payload.get("format") != _DISK_FORMAT
-        or payload.get("kind") != "plan"
-    ):
-        raise ConfigurationError(
-            f"unsupported plan payload format {payload.get('format')!r}"
-        )
-    return CachedPlan(
-        start=payload["start"],
-        result=WindowResult(
-            timeline=Timeline(
-                [_segment_from_record(r) for r in payload["segments"]]
+    serialized by :func:`plan_to_payload`; raises
+    :class:`ConfigurationError` for any other value."""
+    with _decoding("plan", payload):
+        return CachedPlan(
+            start=payload["start"],
+            result=WindowResult(
+                timeline=Timeline(
+                    [_segment_from_record(r) for r in payload["segments"]]
+                ),
+                deadline_missed=payload["deadline_missed"],
+                vd_wakes=payload["vd_wakes"],
+                used_psr=payload["used_psr"],
+                bypassed_dram=payload["bypassed_dram"],
+                burst=payload["burst"],
             ),
-            deadline_missed=payload["deadline_missed"],
-            vd_wakes=payload["vd_wakes"],
-            used_psr=payload["used_psr"],
-            bypassed_dram=payload["bypassed_dram"],
-            burst=payload["burst"],
-        ),
-        digest=_summary_from_payload(payload["digest"]),
-        final_state=PackageCState[payload["final_state"]],
-    )
+            digest=_summary_from_payload(payload["digest"]),
+            final_state=PackageCState[payload["final_state"]],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +623,7 @@ class SimulationCache:
             return plan_from_payload(payload)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError,
-                ConfigurationError):
+        except (OSError, ValueError, ConfigurationError):
             try:
                 path.unlink(missing_ok=True)
             except OSError:
@@ -616,7 +645,7 @@ class SimulationCache:
             )
             tmp_name = handle.name
             with handle:
-                json.dump(plan_to_payload(plan), handle)
+                handle.write(json.dumps(plan_to_payload(plan)))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, self._plan_path(key))
@@ -639,10 +668,9 @@ class SimulationCache:
             return run_from_payload(payload)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError,
-                ConfigurationError):
-            # A stale or corrupt entry reads as a miss; drop it so the
-            # next store rewrites a clean one.
+        except (OSError, ValueError, ConfigurationError):
+            # A stale, corrupt or wrong-shaped entry reads as a miss;
+            # drop it so the next store rewrites a clean one.
             try:
                 path.unlink(missing_ok=True)
             except OSError:
@@ -664,7 +692,9 @@ class SimulationCache:
             )
             tmp_name = handle.name
             with handle:
-                json.dump(run_to_payload(run), handle)
+                # json.dumps encodes in C; json.dump would stream the
+                # same bytes through the pure-Python encoder.
+                handle.write(json.dumps(run_to_payload(run)))
                 handle.flush()
                 os.fsync(handle.fileno())
             # Atomic publish: readers only ever see a complete entry;
@@ -804,7 +834,15 @@ class ExhibitOutcome:
 
 
 def run_exhibit(name: str) -> ExhibitOutcome:
-    """Regenerate one exhibit in-process, measuring its cost."""
+    """Regenerate one exhibit in-process, measuring its cost.
+
+    Every exhibit regenerates at ``retain="summary"``: the evaluation
+    reports aggregates (residencies, energies, reductions), which the
+    online summary carries, so its runs build no per-segment timeline.
+    Exhibits that draw individual segments (Figs. 3, 6 and 7) pin
+    ``retain="full"`` on their own runs.  The process retain default
+    is restored afterwards.
+    """
     registry = exhibit_registry()
     if name not in registry:
         raise ConfigurationError(
@@ -813,12 +851,16 @@ def run_exhibit(name: str) -> ExhibitOutcome:
     cache = active_cache()
     before = cache.stats.snapshot() if cache else CacheStats()
     tracer = obs_trace.active()
+    previous_retain = sim.set_default_retain("summary")
     started = time.perf_counter()
-    if tracer is not None:
-        with tracer.span("exhibit", exhibit=name):
+    try:
+        if tracer is not None:
+            with tracer.span("exhibit", exhibit=name):
+                result = registry[name]()
+        else:
             result = registry[name]()
-    else:
-        result = registry[name]()
+    finally:
+        sim.set_default_retain(previous_retain)
     elapsed = time.perf_counter() - started
     after = cache.stats.snapshot() if cache else CacheStats()
     metrics = obs_metrics.registry()
@@ -870,24 +912,21 @@ def _exhibit_task(
     cache_dir: str | None,
     context: "dist.TraceContext | None" = None,
     task_index: int = 0,
-    retain: str | None = None,
     seed_offset: int = 0,
     label: str | None = None,
 ) -> ExhibitOutcome:
     """Worker-process entry point: configure the worker's cache (or
-    disable memoization when the parent traced with it disabled), the
-    retain default, and the content-seed offset, then regenerate one
-    exhibit under the shard protocol so its spans, metrics and
-    heartbeats reach the parent.  ``label`` overrides the heartbeat
-    task name (the replication engine tags tasks ``name@s<seed>``)."""
+    disable memoization when the parent traced with it disabled) and
+    the content-seed offset, then regenerate one exhibit under the
+    shard protocol so its spans, metrics and heartbeats reach the
+    parent.  ``label`` overrides the heartbeat task name (the
+    replication engine tags tasks ``name@s<seed>``)."""
     from . import experiments
 
     if context is not None and context.disable_memo:
         sim.install_run_memo(None)
     else:
         _apply_cache_dir(cache_dir)
-    if retain is not None:
-        sim.set_default_retain(retain)
     experiments.set_seed_offset(seed_offset)
     if context is None:
         return run_exhibit(name)
@@ -905,7 +944,6 @@ def run_exhibits(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
-    retain: str | None = None,
     seed_offset: int = 0,
 ) -> list[ExhibitOutcome]:
     """Regenerate exhibits, fanning out over ``jobs`` worker processes.
@@ -914,9 +952,7 @@ def run_exhibits(
     request order and are bit-identical to a sequential run (every
     exhibit function is pure and deterministic).  ``cache_dir`` points
     all workers (and the sequential path) at one shared on-disk cache.
-    ``retain`` sets the simulator's retain default for the batch
-    (``"summary"`` drops per-segment timelines; exhibits that render
-    segment-level figures pin ``retain="full"`` on their own runs).
+    Exhibits run at summary retention (see :func:`run_exhibit`).
     ``seed_offset`` shifts every workload's content seed (see
     :func:`repro.analysis.experiments.set_seed_offset`); 0 reproduces
     the canonical exhibits exactly.
@@ -955,9 +991,6 @@ def run_exhibits(
         from . import experiments
 
         _apply_cache_dir(cache_dir)
-        previous_retain = (
-            sim.set_default_retain(retain) if retain is not None else None
-        )
         previous_offset = experiments.set_seed_offset(seed_offset)
         try:
             outcomes = []
@@ -983,8 +1016,6 @@ def run_exhibits(
                 outcomes.append(outcome)
             return outcomes
         finally:
-            if previous_retain is not None:
-                sim.set_default_retain(previous_retain)
             experiments.set_seed_offset(previous_offset)
     context = dist.new_context(
         collect_trace=tracer is not None,
@@ -1001,7 +1032,6 @@ def run_exhibits(
                     None if cache_dir is None else str(cache_dir),
                     context,
                     index,
-                    retain,
                     seed_offset,
                 )
                 for index, name in enumerate(selected)

@@ -236,7 +236,6 @@ def write_figures(
     jobs: int = 1,
     metrics_sink: list | None = None,
     progress=None,
-    retain: str | None = None,
 ) -> list[Path]:
     """Regenerate the headline evaluation figures as SVG files.
 
@@ -258,9 +257,7 @@ def write_figures(
     output.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    outcomes = run_exhibits(
-        FIGURE_EXHIBITS, jobs=jobs, progress=progress, retain=retain
-    )
+    outcomes = run_exhibits(FIGURE_EXHIBITS, jobs=jobs, progress=progress)
     results = {outcome.name: outcome.result for outcome in outcomes}
     if metrics_sink is not None:
         metrics_sink.extend(outcome.metrics for outcome in outcomes)

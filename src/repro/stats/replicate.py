@@ -152,7 +152,6 @@ def replicate_exhibits(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
-    retain: str | None = None,
 ) -> Replication:
     """Regenerate exhibits under seed offsets ``0 .. seeds-1``.
 
@@ -200,10 +199,6 @@ def replicate_exhibits(
     outcomes: list[Any] = []
     if sequential:
         _apply_cache_dir(cache_dir)
-        previous_retain = (
-            sim.set_default_retain(retain)
-            if retain is not None else None
-        )
         previous_offset = experiments.seed_offset()
         emit_heartbeat = dist.pinned_heartbeat_emitter(
             STATS_NAMESPACE
@@ -231,8 +226,6 @@ def replicate_exhibits(
                 outcomes.append(outcome)
         finally:
             experiments.set_seed_offset(previous_offset)
-            if previous_retain is not None:
-                sim.set_default_retain(previous_retain)
     else:
         context = dist.new_context(
             collect_trace=tracer is not None,
@@ -249,7 +242,6 @@ def replicate_exhibits(
                         None if cache_dir is None else str(cache_dir),
                         context,
                         index,
-                        retain,
                         seed,
                         _task_label(name, seed),
                     )

@@ -1,4 +1,4 @@
-"""Disk cache format 3: plan payloads and backward-compatible reads."""
+"""Disk cache payloads: plan entries, and a single readable format."""
 
 import json
 
@@ -92,36 +92,30 @@ class TestFormatCompatibility:
             )
         assert run_to_payload(run)["format"] == 4
 
-    def test_older_format_runs_still_read(self):
-        """A cache directory written before the bump stays warm: format
-        4 only appends content-attribute columns, which older payloads
-        read back as zero — exactly what a content-agnostic run wrote."""
+    @pytest.mark.parametrize("older", [1, 2, 3])
+    def test_older_formats_read_as_misses(self, older, tmp_path):
+        """Only the current format reads back: an entry written under
+        an older one (here with the pre-format-4 segment records, which
+        lacked the APL column) is rejected, and the disk cache drops it
+        as a miss so the next store rewrites it."""
         with cache_disabled():
             run = FrameWindowSimulator(
                 skylake_tablet(FHD), ConventionalScheme()
             ).run(
                 AnalyticContentModel().frames(FHD, 4, seed=1), 30.0
             )
-        for older in (2, 3):
-            payload = json.loads(json.dumps(run_to_payload(run)))
-            payload["format"] = older
-            for record in payload["segments"]:
-                del record[14:]
-            rebuilt = run_from_payload(payload)
-            assert rebuilt.stats == run.stats
-            assert list(rebuilt.timeline) == list(run.timeline)
-
-    def test_format_1_runs_rejected(self):
-        with cache_disabled():
-            run = FrameWindowSimulator(
-                skylake_tablet(FHD), ConventionalScheme()
-            ).run(
-                AnalyticContentModel().frames(FHD, 4, seed=1), 30.0
-            )
-        payload = run_to_payload(run)
-        payload["format"] = 1
+        payload = json.loads(json.dumps(run_to_payload(run)))
+        payload["format"] = older
+        for record in payload["segments"]:
+            del record[14:]
         with pytest.raises(ConfigurationError):
             run_from_payload(payload)
+        path = tmp_path / f"{run.cache_key}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        cache = SimulationCache(directory=tmp_path)
+        assert cache.load(run.cache_key) is None
+        assert cache.stats.misses == 1
+        assert not path.exists()
 
 
 class TestPlanDiskLayer:

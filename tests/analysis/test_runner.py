@@ -242,15 +242,15 @@ class TestDiskCache:
         assert len(list(tmp_path.glob("*.json"))) == 1
 
     def test_failed_store_cleans_up_temp_file(self, tmp_path, monkeypatch):
-        """If the write itself dies, no temp or partial target file may
-        survive to poison later loads."""
+        """If the write dies after a partial payload, no temp or
+        partial target file may survive to poison later loads."""
         cache = SimulationCache(directory=tmp_path)
 
-        def explode(payload, handle):
-            handle.write('{"format": 1, "scheme": "conv')  # partial...
+        def explode(fd):
             raise OSError("disk full")
 
-        monkeypatch.setattr(runner.json, "dump", explode)
+        # The payload is written and flushed; the fsync then fails.
+        monkeypatch.setattr(runner.os, "fsync", explode)
         previous = install_run_memo(cache)
         try:
             run = _simulate()  # store's disk write fails silently
@@ -262,6 +262,15 @@ class TestDiskCache:
         # And the cache still works end to end afterwards.
         cache.store(run.cache_key, run)
         assert (tmp_path / f"{run.cache_key}.json").exists()
+
+    def test_stored_bytes_are_the_json_payload(self, tmp_path):
+        """A stored entry is exactly ``json.dumps`` of its payload."""
+        run = _simulate()
+        SimulationCache(directory=tmp_path).store(run.cache_key, run)
+        path = tmp_path / f"{run.cache_key}.json"
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            run_to_payload(run)
+        )
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = SimulationCache(directory=tmp_path)
@@ -313,16 +322,39 @@ class TestExhibitEngine:
         with pytest.raises(ConfigurationError):
             run_exhibits(("fig01",), jobs=0)
 
-    def test_batch_retain_restored(self, isolated_cache):
-        """``run_exhibits(retain=...)`` applies only for the batch: the
-        process default is back afterwards."""
+    def test_batch_retain_restored(self):
+        """Exhibits run at summary retention, except the runs that draw
+        segments, and the process default is back afterwards."""
         from repro.pipeline.sim import default_retain
 
-        before = default_retain()
-        outcomes = run_exhibits(("standby",), retain="summary")
-        assert default_retain() == before
-        assert outcomes[0].name == "standby"
-        assert 0 < outcomes[0].result.reduction < 1
+        class Recording(SimulationCache):
+            """Keeps every run the exhibits simulate."""
+
+            def __init__(self):
+                super().__init__()
+                self.runs = []
+
+            def store(self, key, run):
+                self.runs.append(run)
+                super().store(key, run)
+
+        recording = Recording()
+        previous = install_run_memo(recording)
+        try:
+            before = default_retain()
+            (table2,) = run_exhibits(("table2",))
+            assert default_retain() == before
+            table2_runs = list(recording.runs)
+            (fig03,) = run_exhibits(("fig03",))
+            assert default_retain() == before
+        finally:
+            install_run_memo(previous)
+        assert 0 < table2.result.reduction < 1
+        assert len(table2_runs) == 2
+        for run in table2_runs:
+            assert run.timeline is None
+            assert run.summary is not None
+        assert fig03.result.runs[30.0].timeline is not None
 
     def test_metrics_track_cache_activity(self, isolated_cache):
         cold = run_exhibit("fig01")
