@@ -16,8 +16,8 @@ allows:
   optionally they also persist as JSON under ``.repro_cache/`` so a
   *repeated* full-suite regeneration starts warm.
 
-* :func:`run_exhibits` — fan-out of independent exhibits over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Exhibit functions
+* :func:`run_exhibits` — fan-out of independent exhibits over worker
+  processes (:func:`repro.obs.dist.fan_out`).  Exhibit functions
   are pure and deterministic, so results are bit-identical to a
   sequential run; outcomes are returned in request order regardless of
   completion order.  Each outcome carries an
@@ -38,11 +38,6 @@ import os
 import tempfile
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -883,18 +878,6 @@ def run_exhibit(name: str) -> ExhibitOutcome:
     )
 
 
-def _apply_cache_dir(cache_dir: str | Path | None) -> None:
-    """Point the process-wide cache at ``cache_dir`` (idempotent; a
-    ``None`` directory leaves the current cache untouched).  Shared by
-    the sequential path and the worker entry point, which must agree on
-    the layout or parallel runs would silently go cold."""
-    if cache_dir is None:
-        return
-    cache = active_cache()
-    if cache is None or cache.directory != Path(cache_dir):
-        configure_cache(directory=cache_dir)
-
-
 def _metrics_heartbeat(outcome: ExhibitOutcome) -> dict[str, Any]:
     """The done-heartbeat payload for one outcome (the live-progress
     fields: wall clock, cache hit/miss, windows simulated)."""
@@ -909,34 +892,44 @@ def _metrics_heartbeat(outcome: ExhibitOutcome) -> dict[str, Any]:
 
 def _exhibit_task(
     name: str,
-    cache_dir: str | None,
-    context: "dist.TraceContext | None" = None,
-    task_index: int = 0,
-    seed_offset: int = 0,
-    label: str | None = None,
+    seed_offset: int,
+    cache_dir: str | Path | None,
+    *,
+    disable_memo: bool,
 ) -> ExhibitOutcome:
-    """Worker-process entry point: configure the worker's cache (or
-    disable memoization when the parent traced with it disabled) and
-    the content-seed offset, then regenerate one exhibit under the
-    shard protocol so its spans, metrics and heartbeats reach the
-    parent.  ``label`` overrides the heartbeat task name (the
-    replication engine tags tasks ``name@s<seed>``)."""
+    """Fan-out task (:func:`repro.obs.dist.fan_out`): regenerate one
+    exhibit under content-seed offset ``seed_offset``.  Memoization is
+    switched off when the caller runs without it, else the process
+    cache points at ``cache_dir``; the previous seed offset is restored
+    afterwards."""
     from . import experiments
 
-    if context is not None and context.disable_memo:
+    if disable_memo:
         sim.install_run_memo(None)
-    else:
-        _apply_cache_dir(cache_dir)
-    experiments.set_seed_offset(seed_offset)
-    if context is None:
+    elif cache_dir is not None:
+        cache = active_cache()
+        if cache is None or cache.directory != Path(cache_dir):
+            configure_cache(directory=cache_dir)
+    previous_offset = experiments.set_seed_offset(seed_offset)
+    try:
         return run_exhibit(name)
-    return dist.run_worker_task(
-        context,
-        task_index,
-        label or name,
-        lambda: run_exhibit(name),
-        summarize=_metrics_heartbeat,
-    )
+    finally:
+        experiments.set_seed_offset(previous_offset)
+
+
+def _select_exhibits(
+    names: tuple[str, ...] | list[str] | None,
+) -> list[str]:
+    """``names`` as a list (the full registry when ``None``), rejecting
+    any name the registry does not know."""
+    registry = exhibit_registry()
+    selected = list(names) if names is not None else list(registry)
+    unknown = [n for n in selected if n not in registry]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown exhibits: {', '.join(unknown)}"
+        )
+    return selected
 
 
 def run_exhibits(
@@ -957,101 +950,24 @@ def run_exhibits(
     :func:`repro.analysis.experiments.set_seed_offset`); 0 reproduces
     the canonical exhibits exactly.
 
-    Telemetry survives the fan-out: when a tracer is installed in the
-    calling process, workers record per-task trace shards that merge
-    back into it (one coherent stream, request order — see
-    :mod:`repro.obs.dist`), and every worker's metrics registry folds
-    into the parent registry, so aggregated counters match a
-    sequential run.  ``progress``, when given, receives one line per
-    exhibit start/finish (streamed live from worker heartbeats under
-    fan-out).
+    The fan-out is :func:`repro.obs.dist.fan_out` under the
+    ``"exhibits"`` namespace, so telemetry survives it: worker trace
+    shards merge back into an installed tracer (one coherent stream,
+    request order), every worker's metrics registry folds into the
+    parent registry, and ``progress``, when given, receives one line
+    per exhibit start/finish at any ``jobs``.
     """
-    registry = exhibit_registry()
-    selected = list(names) if names is not None else list(registry)
-    unknown = [n for n in selected if n not in registry]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown exhibits: {', '.join(unknown)}"
-        )
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    sequential = jobs == 1 or len(selected) <= 1
-    # The worker count actually spawned, not the requested --jobs.
-    workers = 1 if sequential else min(jobs, len(selected))
-    tracer = obs_trace.active()
-    dist.record_fanout(
-        "exhibits", workers=workers, selected=len(selected)
+    return dist.fan_out(
+        "exhibits",
+        _exhibit_task,
+        [
+            (name, (name, seed_offset, cache_dir))
+            for name in _select_exhibits(names)
+        ],
+        jobs=jobs,
+        progress=progress,
+        summarize=_metrics_heartbeat,
     )
-    monitor = (
-        dist.ProgressMonitor(progress, total=len(selected))
-        if progress is not None
-        else None
-    )
-    if sequential:
-        from . import experiments
-
-        _apply_cache_dir(cache_dir)
-        previous_offset = experiments.set_seed_offset(seed_offset)
-        try:
-            outcomes = []
-            # Publish start/done heartbeats to a pinned telemetry
-            # plane (REPRO_HEARTBEAT_DIR) even without a worker pool.
-            emit_heartbeat = dist.pinned_heartbeat_emitter("exhibits")
-            for index, name in enumerate(selected):
-                start_record = dist.progress_record(
-                    "start", index, name
-                )
-                if emit_heartbeat is not None:
-                    emit_heartbeat(start_record)
-                if monitor is not None:
-                    monitor.feed(start_record)
-                outcome = run_exhibit(name)
-                done_record = dist.progress_record(
-                    "done", index, name, **_metrics_heartbeat(outcome)
-                )
-                if emit_heartbeat is not None:
-                    emit_heartbeat(done_record)
-                if monitor is not None:
-                    monitor.feed(done_record)
-                outcomes.append(outcome)
-            return outcomes
-        finally:
-            experiments.set_seed_offset(previous_offset)
-    context = dist.new_context(
-        collect_trace=tracer is not None,
-        disable_memo=sim.active_run_memo() is None,
-        heartbeat=monitor is not None,
-        namespace="exhibits",
-    )
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _exhibit_task,
-                    name,
-                    None if cache_dir is None else str(cache_dir),
-                    context,
-                    index,
-                    seed_offset,
-                )
-                for index, name in enumerate(selected)
-            ]
-            if monitor is not None:
-                pending = set(futures)
-                while pending:
-                    _, pending = futures_wait(
-                        pending, timeout=0.1,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    monitor.poll(context)
-                monitor.poll(context)
-            outcomes = [future.result() for future in futures]
-        if tracer is not None:
-            dist.absorb_trace(tracer, context)
-        dist.merge_worker_metrics(obs_metrics.registry(), context)
-        return outcomes
-    finally:
-        dist.cleanup(context)
 
 
 def metrics_table(outcomes: list[ExhibitOutcome]) -> str:

@@ -19,6 +19,20 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigurationError
 from .units import gb_per_s, gbps, kib, mib, ms, us
 
+
+
+def _require_finite(config: object, *names: str) -> None:
+    """Reject NaN and infinite fields, which slip past range checks
+    (``nan <= 0`` is false, and ``inf`` passes any lower bound)."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"{type(config).__name__}.{name} must be finite, "
+                f"got {value}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Resolutions
 # ---------------------------------------------------------------------------
@@ -126,6 +140,7 @@ class EdpConfig:
     wake_latency: float = us(20.0)
 
     def __post_init__(self) -> None:
+        _require_finite(self, "max_bandwidth", "wake_latency")
         if self.max_bandwidth <= 0:
             raise ConfigurationError("eDP max_bandwidth must be positive")
         if self.lane_count <= 0:
@@ -171,6 +186,7 @@ class PanelConfig:
     brightness: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "refresh_hz", "brightness")
         if self.refresh_hz <= 0:
             raise ConfigurationError(
                 f"refresh rate must be positive, got {self.refresh_hz}"
@@ -251,6 +267,10 @@ class DramConfig:
     self_refresh_exit_latency: float = us(10.0)
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self,
+            "capacity", "peak_bandwidth", "sustained_fetch_bandwidth",
+        )
         if self.capacity <= 0:
             raise ConfigurationError("DRAM capacity must be positive")
         if self.channels <= 0:
@@ -296,6 +316,11 @@ class VideoDecoderConfig:
     macroblock_buffer: float = kib(64)
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self,
+            "max_output_rate", "deadline_utilization", "wake_latency",
+            "macroblock_buffer",
+        )
         if self.max_output_rate <= 0:
             raise ConfigurationError("decoder max_output_rate must be positive")
         if not 0 < self.deadline_utilization <= 1:
@@ -342,6 +367,11 @@ class GpuConfig:
     reference_pixels: float = 2 * 1440 * 1600
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self,
+            "projection_rate", "motion_overhead_per_deg_s",
+            "resolution_exponent", "reference_pixels",
+        )
         if self.projection_rate <= 0:
             raise ConfigurationError("GPU projection_rate must be positive")
         if self.motion_overhead_per_deg_s < 0:
@@ -396,6 +426,10 @@ class DisplayControllerConfig:
     max_fetch_cycles_per_window: int = 12
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self,
+            "buffer_size", "chunk_size", "chunk_setup_latency",
+        )
         if self.buffer_size <= 0 or self.chunk_size <= 0:
             raise ConfigurationError("DC buffer and chunk sizes must be > 0")
         if self.chunk_size > self.buffer_size:
@@ -450,6 +484,11 @@ class OrchestrationConfig:
     burstlink_repeat_window: float = ms(0.17)
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self,
+            "baseline_per_frame", "burstlink_per_frame",
+            "burstlink_repeat_window",
+        )
         if min(self.baseline_per_frame, self.burstlink_per_frame,
                self.burstlink_repeat_window) < 0:
             raise ConfigurationError("orchestration times must be >= 0")

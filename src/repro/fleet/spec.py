@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -506,81 +507,118 @@ def spec_from_dict(data: dict[str, Any]) -> FleetSpec:
 # ---------------------------------------------------------------------------
 
 
-def _parse_scalar(text: str, where: str) -> Any:
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    if text.startswith("["):
-        if not text.endswith("]"):
+#: TOML whitespace (``str.strip`` would also eat Unicode spaces).
+_BLANK = " \t"
+_BARE_KEY = re.compile(r"[A-Za-z0-9_-]+")
+_SCALAR = re.compile(r"[^\s,\]#]+")
+#: TOML basic-string escapes are JSON's, bar ``\U``.
+_STRING = json.JSONDecoder(strict=False)
+
+
+def _parse_value(text: str, where: str) -> tuple[Any, str]:
+    """The value opening ``text`` (a string, number, boolean or
+    single-line array) and the text after it."""
+    if text.startswith('"'):
+        try:
+            value, end = _STRING.raw_decode(text)
+        except ValueError:
             raise ConfigurationError(
-                f"{where}: arrays must close on the same line"
+                f"{where}: bad string {text!r}"
+            ) from None
+        return value, text[end:]
+    if text.startswith("["):
+        items = []
+        rest = text[1:].lstrip(_BLANK)
+        while not rest.startswith("]"):
+            item, rest = _parse_value(rest, where)
+            items.append(item)
+            rest = rest.lstrip(_BLANK)
+            if rest.startswith(","):
+                rest = rest[1:].lstrip(_BLANK)
+            elif not rest.startswith("]"):
+                raise ConfigurationError(
+                    f"{where}: arrays must close on the same line"
+                )
+        return items, rest[1:]
+    match = _SCALAR.match(text)
+    token = match.group() if match else ""
+    if token in ("true", "false"):
+        return token == "true", text[len(token) :]
+    for convert in (int, float):
+        try:
+            return convert(token), text[len(token) :]
+        except ValueError:
+            pass
+    raise ConfigurationError(f"{where}: cannot parse value {text!r}")
+
+
+def _descend(
+    root: dict[str, Any], parts: list[str], where: str
+) -> dict[str, Any]:
+    """The table at ``parts`` below ``root``, created as needed; an
+    array of tables stands for its last entry, as in TOML."""
+    node = root
+    for part in parts:
+        node = node.setdefault(part, {})
+        if isinstance(node, list) and node:
+            node = node[-1]
+        if not isinstance(node, dict):
+            raise ConfigurationError(
+                f"{where}: table path collides with a value"
             )
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _parse_scalar(item, where)
-            for item in inner.split(",")
-            if item.strip()
-        ]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{where}: cannot parse value {text!r}"
-        ) from None
+    return node
 
 
 def _parse_toml_minimal(text: str, where: str) -> dict[str, Any]:
     """Parse the TOML subset fleet specs use, for interpreters without
     :mod:`tomllib` (Python 3.10): ``[dotted.tables]``, ``[[arrays of
     tables]]``, and single-line ``key = value`` pairs whose values are
-    strings, numbers, booleans, or flat arrays."""
+    strings (no ``\\U`` escapes), numbers, booleans, or arrays.  Input
+    outside the subset raises :class:`ConfigurationError`."""
     root: dict[str, Any] = {}
     current = root
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for number, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").strip(_BLANK)
         if not line or line.startswith("#"):
             continue
         spot = f"{where}:{number}"
-        if line.startswith("[["):
-            if not line.endswith("]]"):
+        if line.startswith("["):
+            brackets = 2 if line.startswith("[[") else 1
+            if not line.endswith("]" * brackets):
                 raise ConfigurationError(f"{spot}: malformed table")
-            node = root
-            parts = line[2:-2].strip().split(".")
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-            entries = node.setdefault(parts[-1], [])
+            parts = [
+                part.strip(_BLANK)
+                for part in line[brackets:-brackets].split(".")
+            ]
+            if not all(_BARE_KEY.fullmatch(part) for part in parts):
+                raise ConfigurationError(f"{spot}: bad table name")
+            if brackets == 1:
+                current = _descend(root, parts, spot)
+                continue
+            entries = _descend(root, parts[:-1], spot).setdefault(
+                parts[-1], []
+            )
             if not isinstance(entries, list):
                 raise ConfigurationError(
                     f"{spot}: {parts[-1]!r} is not an array of tables"
                 )
             current = {}
             entries.append(current)
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigurationError(f"{spot}: malformed table")
-            node = root
-            for part in line[1:-1].strip().split("."):
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):
-                    raise ConfigurationError(
-                        f"{spot}: table path collides with a value"
-                    )
-            current = node
         else:
             key, sep, value = line.partition("=")
-            if not sep:
+            key = key.strip(_BLANK)
+            if not sep or not _BARE_KEY.fullmatch(key):
                 raise ConfigurationError(
                     f"{spot}: expected 'key = value'"
                 )
-            current[key.strip()] = _parse_scalar(value, spot)
+            if key in current:
+                raise ConfigurationError(f"{spot}: duplicate key {key!r}")
+            current[key], rest = _parse_value(value.lstrip(_BLANK), spot)
+            rest = rest.lstrip(_BLANK)
+            if rest and not rest.startswith("#"):
+                raise ConfigurationError(
+                    f"{spot}: unexpected text after value: {rest!r}"
+                )
     return root
 
 

@@ -1,10 +1,13 @@
 """Cross-process observability: trace shards, merges, heartbeats.
 
-The fan-out engine (:func:`repro.analysis.runner.run_exhibits`) spawns
-worker processes whose tracer spans and metrics registries would
-otherwise die with the worker — a parallel ``repro figures --jobs N
---trace`` used to silently drop nearly all telemetry.  This module
-closes that gap with a shard protocol:
+Every batch fan-out (figure exhibits, their seed replication, drift
+anchors, fleet shards) runs through one driver, :func:`fan_out`: a
+task list and a module-level task function go in; it picks sequential
+or process-pool execution, renders ``--progress`` lines, writes
+heartbeats, and hands back each result as it completes and all of them
+in task order.  Worker processes would otherwise take their spans and
+metrics registries with them, so the pool path runs every task under a
+shard protocol:
 
 * the parent mints a :class:`TraceContext` (a picklable record naming a
   run id and a shard directory) and passes it to every worker task;
@@ -31,14 +34,20 @@ against a sequential one.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
 import tempfile
 import uuid
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    ProcessPoolExecutor,
+    wait as futures_wait,
+)
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from ..errors import ConfigurationError
 from . import metrics as obs_metrics
@@ -229,6 +238,13 @@ def heartbeat_path(context: TraceContext, worker_id: int) -> Path:
 _worker_run_id: str | None = None
 
 
+def _namespace_tag(namespace: str) -> dict[str, Any]:
+    """The field tagging records of a non-default namespace."""
+    if namespace == DEFAULT_NAMESPACE:
+        return {}
+    return {NAMESPACE_FIELD: namespace}
+
+
 def _ensure_worker(context: TraceContext) -> None:
     global _worker_run_id
     if _worker_run_id == context.run_id:
@@ -245,19 +261,19 @@ def _append_jsonl(path: Path, lines: Iterable[str]) -> None:
         os.fsync(handle.fileno())
 
 
-def _emit_heartbeat(
-    context: TraceContext, worker_id: int, record: dict[str, Any]
-) -> None:
-    if not context.heartbeat:
-        return
+def _append_heartbeat(path: Path, record: dict[str, Any]) -> None:
     try:
-        _append_jsonl(
-            heartbeat_path(context, worker_id),
-            [json.dumps(record, sort_keys=True)],
-        )
+        _append_jsonl(path, [json.dumps(record, sort_keys=True)])
     except OSError:
         # Heartbeats are advisory; a full disk must not fail the task.
         pass
+
+
+def _emit_heartbeat(
+    context: TraceContext, worker_id: int, record: dict[str, Any]
+) -> None:
+    if context.heartbeat:
+        _append_heartbeat(heartbeat_path(context, worker_id), record)
 
 
 def _publish_metrics(context: TraceContext, worker_id: int) -> None:
@@ -309,21 +325,11 @@ def run_worker_task(
     """
     _ensure_worker(context)
     worker_id = os.getpid()
-    ns_tag: dict[str, Any] = (
-        {}
-        if context.namespace == DEFAULT_NAMESPACE
-        else {NAMESPACE_FIELD: context.namespace}
-    )
+    ns_tag = _namespace_tag(context.namespace)
     _emit_heartbeat(
         context,
         worker_id,
-        {
-            "event": "start",
-            "task": task_index,
-            "name": name,
-            "worker": worker_id,
-            **ns_tag,
-        },
+        progress_record("start", task_index, name, worker_id, **ns_tag),
     )
     tracer = obs_trace.Tracer() if context.collect_trace else None
     if tracer is not None:
@@ -346,37 +352,11 @@ def run_worker_task(
     else:
         result = thunk()
     _publish_metrics(context, worker_id)
-    done: dict[str, Any] = {
-        "event": "done",
-        "task": task_index,
-        "name": name,
-        "worker": worker_id,
-        **ns_tag,
-    }
+    done = progress_record("done", task_index, name, worker_id, **ns_tag)
     if summarize is not None:
         done.update(summarize(result))
     _emit_heartbeat(context, worker_id, done)
     return result
-
-
-def record_fanout(
-    namespace: str, workers: int, selected: int
-) -> None:
-    """Record one fan-out dispatch under its namespace: a tracer event
-    ``<namespace>.fanout`` (with worker/task counts as attributes) plus
-    a ``<namespace>.fanouts`` counter increment.  Using the namespace
-    as the metric/event prefix keeps figure-exhibit fan-outs and fleet
-    shards distinguishable in merged traces and scraped metrics."""
-    tracer = obs_trace.active()
-    if tracer is not None:
-        tracer.event(
-            f"{namespace}.fanout",
-            workers=workers,
-            selected=selected,
-        )
-    obs_metrics.registry().counter(
-        f"{namespace}.fanouts", f"{namespace} fan-out dispatches"
-    ).inc()
 
 
 # ---------------------------------------------------------------------------
@@ -638,23 +618,8 @@ def pinned_heartbeat_emitter(
         f"{uuid.uuid4().hex[:12]}-w{os.getpid():08d}"
         f"{_HEARTBEAT_SUFFIX}"
     )
-    ns_tag: dict[str, Any] = (
-        {}
-        if namespace == DEFAULT_NAMESPACE
-        else {NAMESPACE_FIELD: namespace}
-    )
-
-    def emit(record: dict[str, Any]) -> None:
-        try:
-            _append_jsonl(
-                path,
-                [json.dumps({**record, **ns_tag}, sort_keys=True)],
-            )
-        except OSError:
-            # Heartbeats are advisory, never fatal.
-            pass
-
-    return emit
+    ns_tag = _namespace_tag(namespace)
+    return lambda record: _append_heartbeat(path, {**record, **ns_tag})
 
 
 class ProgressMonitor:
@@ -732,6 +697,124 @@ def progress_record(
     }
 
 
+# ---------------------------------------------------------------------------
+# The fan-out driver
+# ---------------------------------------------------------------------------
+
+
+def fan_out(
+    namespace: str,
+    task: Callable[..., Any],
+    tasks: Sequence[tuple[str, tuple[Any, ...]]],
+    jobs: int = 1,
+    progress: Callable[[str], None] | None = None,
+    summarize: Callable[[Any], dict[str, Any]] | None = None,
+    on_result: Callable[[int, Any], None] | None = None,
+) -> list[Any]:
+    """Run ``task(*args, disable_memo=...)`` for every ``(name, args)``
+    in ``tasks``; returns the results in task order.
+
+    ``jobs == 1`` or a single task runs here, under the caller's tracer
+    and registry, with start/done records going to any pinned heartbeat
+    directory.  Otherwise ``min(jobs, len(tasks))`` workers run each
+    task under the shard protocol, and their trace shards and metrics
+    merge back once the pool drains.  ``task`` and ``summarize`` must
+    be module-level so they pickle; ``disable_memo`` tells a task that
+    the caller runs without simulator memoization.  ``summarize`` maps
+    a result to its ``done`` record's extra fields.  ``on_result(index,
+    result)`` sees each result as it completes; sequentially, the
+    task's ``done`` progress line follows it.
+    """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    from ..pipeline import sim  # deferred: pipeline.sim imports repro.obs
+
+    # The worker count actually spawned, not the requested --jobs.
+    # Namespacing the dispatch event and counter keeps exhibit, stats
+    # and fleet fan-outs apart in merged traces and scraped metrics.
+    workers = max(1, min(jobs, len(tasks)))
+    tracer = obs_trace.active()
+    if tracer is not None:
+        tracer.event(
+            f"{namespace}.fanout", workers=workers, selected=len(tasks)
+        )
+    obs_metrics.registry().counter(
+        f"{namespace}.fanouts", f"{namespace} fan-out dispatches"
+    ).inc()
+    disable_memo = sim.active_run_memo() is None
+    thunks = [
+        functools.partial(task, *args, disable_memo=disable_memo)
+        for _, args in tasks
+    ]
+    monitor = (
+        ProgressMonitor(progress, total=len(tasks))
+        if progress is not None
+        else None
+    )
+    if workers == 1:
+        emit = pinned_heartbeat_emitter(namespace)
+
+        def announce(record: dict[str, Any]) -> None:
+            if emit is not None:
+                emit(record)
+            if monitor is not None:
+                monitor.feed(record)
+
+        results = []
+        for index, ((name, _), thunk) in enumerate(zip(tasks, thunks)):
+            announce(progress_record("start", index, name))
+            result = thunk()
+            done = progress_record(
+                "done", index, name,
+                **(summarize(result) if summarize is not None else {}),
+            )
+            if on_result is not None:
+                on_result(index, result)
+            announce(done)
+            results.append(result)
+        return results
+    context = new_context(
+        collect_trace=tracer is not None,
+        disable_memo=disable_memo,
+        heartbeat=monitor is not None,
+        namespace=namespace,
+    )
+    results = [None] * len(tasks)
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(
+                    run_worker_task, context, index, name, thunk,
+                    summarize,
+                ): index
+                for index, ((name, _), thunk) in enumerate(
+                    zip(tasks, thunks)
+                )
+            }
+            pending = set(futures)
+            while pending:
+                finished, pending = futures_wait(
+                    pending,
+                    timeout=0.1 if monitor is not None else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                if monitor is not None:
+                    monitor.poll(context)
+                for future in finished:
+                    index = futures[future]
+                    results[index] = future.result()
+                    if on_result is not None:
+                        on_result(index, results[index])
+            if monitor is not None:
+                monitor.poll(context)
+        if tracer is not None:
+            absorb_trace(tracer, context)
+        merge_worker_metrics(obs_metrics.registry(), context)
+        return results
+    finally:
+        cleanup(context)
+
+
 __all__ = [
     "DEFAULT_NAMESPACE",
     "HEARTBEAT_DIR_ENV",
@@ -742,6 +825,7 @@ __all__ = [
     "WORKER_FIELD",
     "absorb_trace",
     "cleanup",
+    "fan_out",
     "heartbeat_dir",
     "heartbeat_path",
     "merge_groups",
@@ -754,7 +838,6 @@ __all__ = [
     "progress_record",
     "read_shards",
     "read_worker_metrics",
-    "record_fanout",
     "run_worker_task",
     "shard_path",
     "tail_complete_lines",

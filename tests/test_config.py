@@ -289,3 +289,43 @@ class TestSystemConfig:
     def test_vr_headset_panel_is_two_eyes(self):
         config = vr_headset(VR_EYE_RESOLUTIONS[0])
         assert config.panel.resolution.width == 1920
+
+
+#: Every float field a config constructor range-checks.
+RANGE_CHECKED_FLOATS = [
+    (EdpConfig, "max_bandwidth"),
+    (EdpConfig, "wake_latency"),
+    (PanelConfig, "refresh_hz"),
+    (PanelConfig, "brightness"),
+    (DramConfig, "capacity"),
+    (DramConfig, "peak_bandwidth"),
+    (DramConfig, "sustained_fetch_bandwidth"),
+    (VideoDecoderConfig, "max_output_rate"),
+    (VideoDecoderConfig, "deadline_utilization"),
+    (VideoDecoderConfig, "wake_latency"),
+    (VideoDecoderConfig, "macroblock_buffer"),
+    (GpuConfig, "projection_rate"),
+    (GpuConfig, "motion_overhead_per_deg_s"),
+    (GpuConfig, "resolution_exponent"),
+    (GpuConfig, "reference_pixels"),
+    (DisplayControllerConfig, "buffer_size"),
+    (DisplayControllerConfig, "chunk_size"),
+    (DisplayControllerConfig, "chunk_setup_latency"),
+    (OrchestrationConfig, "baseline_per_frame"),
+    (OrchestrationConfig, "burstlink_per_frame"),
+    (OrchestrationConfig, "burstlink_repeat_window"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")],
+    ids=["nan", "inf", "-inf"],
+)
+@pytest.mark.parametrize(
+    "config_cls,field_name",
+    RANGE_CHECKED_FLOATS,
+    ids=[f"{cls.__name__}.{name}" for cls, name in RANGE_CHECKED_FLOATS],
+)
+def test_non_finite_field_rejected(config_cls, field_name, value):
+    with pytest.raises(ConfigurationError):
+        config_cls(**{field_name: value})
